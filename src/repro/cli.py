@@ -33,7 +33,6 @@ from repro.baselines import (
     louvain_communities,
 )
 from repro.core import (
-    AUTO_KERNEL,
     TerminationCriteria,
     create_kernel,
     detect_communities,
@@ -197,23 +196,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     if args.algorithm == "parallel":
         scorer = create_kernel("scorer", args.scorer)
-        # --tuner-table swaps the calibrated coefficients behind the
-        # auto-selection policy; it only matters when a phase is "auto".
-        selector = None
-        if args.tuner_table:
-            from repro.core.tuner import CostModelPolicy, load_cost_table
-
-            if AUTO_KERNEL not in (args.matcher, args.contractor):
-                print(
-                    "note: --tuner-table has no effect without "
-                    "--matcher auto / --contractor auto",
-                    file=sys.stderr,
-                )
-            try:
-                selector = CostModelPolicy(load_cost_table(args.tuner_table))
-            except (OSError, ValueError) as exc:
-                print(f"error: --tuner-table: {exc}", file=sys.stderr)
-                return 2
         # --spill-dir without an explicit directory (i.e. --memory-budget
         # alone) still spills somewhere: a memory breach must land on the
         # spill rung, not on abort.
@@ -294,7 +276,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                     termination=termination,
                     matcher=args.matcher,
                     contractor=args.contractor,
-                    selector=selector,
                     tracer=tracer,
                     checkpoint_dir=args.checkpoint_dir,
                     resume=args.resume,
@@ -350,21 +331,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             f"terminated by {result.terminated_by}",
             file=sys.stderr,
         )
-        if result.tuner is not None:
-            picks = "; ".join(
-                f"{kind}: "
-                + ", ".join(
-                    f"{name}×{n}" for name, n in sorted(counts.items())
-                )
-                for kind, counts in sorted(
-                    (result.tuner.get("selected") or {}).items()
-                )
-            )
-            print(
-                f"tuner ({result.tuner.get('policy', '?')}): "
-                f"{picks or 'no decisions'}",
-                file=sys.stderr,
-            )
         if args.checkpoint_dir or result.recovery.any_recovery():
             print(
                 f"resilience: {result.recovery.summary()}", file=sys.stderr
@@ -507,42 +473,17 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     from repro.core import KERNEL_KINDS, kernel_catalog
 
     kinds = [args.kind] if args.kind else list(KERNEL_KINDS)
-    first = True
+    tables = []
     for kind in kinds:
-        infos = kernel_catalog(kind)
-        if not first:
-            print()
-        first = False
-        rows = [
-            [
-                i.name,
-                "yes" if i.supports_sharded else "no",
-                "yes" if i.deterministic else "no",
-                ",".join(i.cost_features),
-                i.regime or "-",
-                i.description or "-",
-            ]
-            for i in infos
-        ]
-        print(
+        rows = [[name, desc or "-"] for name, desc in kernel_catalog(kind)]
+        tables.append(
             format_table(
-                [
-                    "name",
-                    "sharded",
-                    "deterministic",
-                    "cost features",
-                    "regime",
-                    "description",
-                ],
+                ["name", "description"],
                 rows,
-                title=f"{kind}s ({len(infos)} registered)",
+                title=f"{kind}s ({len(rows)} registered)",
             )
         )
-    print(
-        "\nPass --matcher/--contractor auto to let the per-level tuner "
-        "choose among these (docs/TUNING.md).",
-        file=sys.stderr,
-    )
+    print("\n\n".join(tables))
     return 0
 
 
@@ -623,7 +564,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if not args.ignore_config:
             print(
                 "error: the ledgers were produced by different "
-                "kernel/tuner configurations — a timing diff between "
+                "kernel configurations — a timing diff between "
                 "them compares different code, not a regression:",
                 file=sys.stderr,
             )
@@ -1109,24 +1050,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--matcher",
         default="worklist",
-        choices=[*kernel_names("matcher"), AUTO_KERNEL],
-        help="matching kernel, or 'auto' to pick per level via the "
-        "tuner (see docs/TUNING.md)",
+        choices=kernel_names("matcher"),
+        help="matching kernel",
     )
     p.add_argument(
         "--contractor",
         default="bucket",
-        choices=[*kernel_names("contractor"), AUTO_KERNEL],
-        help="contraction kernel, or 'auto' to pick per level via the "
-        "tuner (see docs/TUNING.md)",
-    )
-    p.add_argument(
-        "--tuner-table",
-        metavar="PATH",
-        default=None,
-        help="cost-table JSON for --matcher/--contractor auto (a bare "
-        "table or a BENCH_kernels.json shootout ledger; default: the "
-        "built-in table calibrated by bench/shootout.py)",
+        choices=kernel_names("contractor"),
+        help="contraction kernel",
     )
     p.add_argument(
         "--coverage",
@@ -1286,13 +1217,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "kernels",
-        help="list registered kernels with capability metadata",
+        help="list registered kernels",
         description="List every kernel registered under each phase kind "
-        "(scorer/matcher/contractor) with its capability descriptor: "
-        "sharded-capability (eligible after an out-of-core spill), "
-        "determinism, the cost-model features the auto-tuner uses, and "
-        "its preferred regime.  This is the candidate pool "
-        "--matcher/--contractor auto selects from per level.",
+        "(scorer/matcher/contractor) with a one-line description.",
     )
     p.add_argument(
         "--kind",
@@ -1366,7 +1293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ignore-config",
         action="store_true",
-        help="diff even when the ledgers' kernel/tuner configs differ "
+        help="diff even when the ledgers' kernel configs differ "
         "(by default config drift is an error, exit 2)",
     )
     p.set_defaults(func=_cmd_compare)
@@ -1578,6 +1505,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         handler = enable_console_logging()
     try:
         return args.func(args)
+    except OSError as exc:
+        # One boundary for every verb: a missing directory, a denied
+        # permission or a full disk is bad input, not a crash.
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
     finally:
         if handler is not None:
             import logging

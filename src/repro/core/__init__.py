@@ -33,25 +33,11 @@ from repro.core.engine import (
 )
 from repro.core.registry import (
     KERNEL_KINDS,
-    KernelInfo,
     create_kernel,
     kernel_catalog,
-    kernel_info,
     kernel_names,
     register_kernel,
     unregister_kernel,
-)
-from repro.core.tuner import (
-    AUTO_KERNEL,
-    CostModelPolicy,
-    KernelTuner,
-    LevelShape,
-    SelectorPolicy,
-    StaticPolicy,
-    TunerDecision,
-    fit_cost_table,
-    level_shape,
-    load_cost_table,
 )
 from repro.core.dendrogram import Dendrogram
 from repro.core.refinement import refine_partition
@@ -64,23 +50,11 @@ __all__ = [
     "MatchKernel",
     "ContractKernel",
     "KERNEL_KINDS",
-    "KernelInfo",
     "register_kernel",
     "unregister_kernel",
     "kernel_names",
-    "kernel_info",
     "kernel_catalog",
     "create_kernel",
-    "AUTO_KERNEL",
-    "LevelShape",
-    "level_shape",
-    "SelectorPolicy",
-    "CostModelPolicy",
-    "StaticPolicy",
-    "KernelTuner",
-    "TunerDecision",
-    "load_cost_table",
-    "fit_cost_table",
     "EdgeScorer",
     "ModularityScorer",
     "ConductanceScorer",

@@ -11,8 +11,7 @@ one mechanism instead of per-kind lookup tables scattered through the
 driver, the CLI and the bench harness.
 
 A registered entry is a zero-argument **factory** producing the kernel
-object for one run, plus a :class:`KernelInfo` capability descriptor
-the per-level auto-tuner (:mod:`repro.core.tuner`) selects against:
+object for one run, plus a one-line description for ``repro kernels``:
 
 * ``scorer`` factories return an :class:`~repro.core.scoring.EdgeScorer`
   instance (a fresh one per call, so per-run state such as a recovery
@@ -24,7 +23,7 @@ the per-level auto-tuner (:mod:`repro.core.tuner`) selects against:
 
 User extension::
 
-    from repro.core.registry import KernelInfo, register_kernel
+    from repro.core.registry import register_kernel
 
     class MyScorer:
         name = "my-metric"
@@ -32,11 +31,6 @@ User extension::
 
     register_kernel("scorer", "my-metric", MyScorer)
     detect_communities(graph, scorer="my-metric")
-
-``register_kernel`` stays backward-compatible for bare factories: when
-no ``info`` is given a conservative default descriptor is attached
-(``supports_sharded=False``, ``deterministic=True``), which keeps user
-kernels out of the spilled candidate pool unless they opt in.
 
 The built-in kernels are registered at import time; discovery
 (:func:`kernel_names`, :func:`kernel_catalog`) is what the CLI uses to
@@ -46,22 +40,18 @@ and the ``repro kernels`` listing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.core.contraction import contract, contract_hash_chains
 from repro.core.matching import match_full_sweep, match_locally_dominant
 from repro.core.outofcore import contract_sharded, match_gmm_capped
 from repro.core.scoring import ConductanceScorer, ModularityScorer, WeightScorer
-from repro.spmatrix.contract import contract_spmatrix
 
 __all__ = [
     "KERNEL_KINDS",
-    "KernelInfo",
     "register_kernel",
     "unregister_kernel",
     "kernel_names",
-    "kernel_info",
     "kernel_catalog",
     "create_kernel",
 ]
@@ -70,68 +60,9 @@ __all__ = [
 KERNEL_KINDS = ("scorer", "matcher", "contractor")
 
 
-@dataclass(frozen=True)
-class KernelInfo:
-    """Capability descriptor of one registered kernel.
-
-    The auto-tuner (:mod:`repro.core.tuner`) consults these when
-    building the per-level candidate pool; the ``repro kernels`` CLI
-    subcommand renders them for discoverability.
-
-    Attributes
-    ----------
-    kind, name:
-        The registry key this descriptor belongs to.
-    supports_sharded:
-        ``True`` when the kernel composes with the out-of-core spill
-        path — either it streams shard windows itself (``gmm``,
-        ``shard``) or the engine transparently substitutes a
-        bit-identical streaming twin (``worklist``, ``bucket``).  Once
-        a run has spilled, auto-selection is constrained to
-        sharded-capable kernels so a memory breach cannot be answered
-        with a kernel that re-materialises edge-length anonymous
-        arrays.
-    deterministic:
-        ``True`` when repeated runs on the same input produce
-        bit-identical output (every built-in is; a user kernel that
-        randomizes should say so).
-    cost_features:
-        Names of the per-level shape features the tuner's cost model
-        needs to predict this kernel's runtime (subset of
-        :data:`repro.core.tuner.COST_FEATURES`).
-    regime:
-        Free-text description of the density/degree-skew regime the
-        kernel prefers — documentation for humans, not consulted by the
-        cost model.
-    description:
-        One-line summary for the ``repro kernels`` listing.
-    """
-
-    kind: str
-    name: str
-    supports_sharded: bool = False
-    deterministic: bool = True
-    cost_features: tuple[str, ...] = ("const", "edges", "vertices")
-    regime: str = ""
-    description: str = ""
-
-    def as_dict(self) -> dict:
-        """JSON-ready dump (the ``repro kernels`` / ledger shape)."""
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "supports_sharded": self.supports_sharded,
-            "deterministic": self.deterministic,
-            "cost_features": list(self.cost_features),
-            "regime": self.regime,
-            "description": self.description,
-        }
-
-
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     factory: Callable[[], object]
-    info: KernelInfo = field(repr=False, default=None)  # type: ignore[assignment]
+    description: str
 
 
 _REGISTRY: dict[tuple[str, str], _Entry] = {}
@@ -151,35 +82,35 @@ def register_kernel(
     factory: Callable[[], object],
     *,
     replace: bool = False,
-    info: KernelInfo | None = None,
 ) -> None:
     """Register a kernel factory under ``(kind, name)``.
 
     ``factory`` is called with no arguments each time the kernel is
     instantiated for a run.  Re-registering an existing name raises
     unless ``replace=True`` (so a typo cannot silently shadow a
-    built-in).  ``info`` attaches the capability descriptor; a bare
-    registration (the historical two-argument form) gets a conservative
-    default — not sharded-capable, deterministic — so pre-existing user
-    kernels keep working and stay out of the spilled candidate pool.
+    built-in).
     """
+    _register(kind, name, factory, "", replace=replace)
+
+
+def _register(
+    kind: str,
+    name: str,
+    factory: Callable[[], object],
+    description: str,
+    *,
+    replace: bool = False,
+) -> None:
     _check_kind(kind)
     if not name:
         raise ValueError("kernel name must be non-empty")
-    if info is not None and (info.kind != kind or info.name != name):
-        raise ValueError(
-            f"KernelInfo is keyed ({info.kind!r}, {info.name!r}) but the "
-            f"registration is ({kind!r}, {name!r})"
-        )
     key = (kind, name)
     if key in _REGISTRY and not replace:
         raise ValueError(
             f"{kind} {name!r} is already registered "
             "(pass replace=True to override)"
         )
-    _REGISTRY[key] = _Entry(
-        factory, info if info is not None else KernelInfo(kind, name)
-    )
+    _REGISTRY[key] = _Entry(factory, description)
 
 
 def unregister_kernel(kind: str, name: str) -> None:
@@ -194,31 +125,15 @@ def kernel_names(kind: str) -> tuple[str, ...]:
     return tuple(sorted(n for k, n in _REGISTRY if k == kind))
 
 
-def kernel_info(kind: str, name: str) -> KernelInfo:
-    """The capability descriptor registered under ``(kind, name)``."""
-    _check_kind(kind)
-    try:
-        return _REGISTRY[(kind, name)].info
-    except KeyError:
-        available = ", ".join(kernel_names(kind)) or "none"
-        raise ValueError(
-            f"unknown {kind} {name!r} (available: {available})"
-        ) from None
+def kernel_catalog(kind: str) -> list[tuple[str, str]]:
+    """``(name, description)`` of every kernel of one kind, by name.
 
-
-def kernel_catalog(kind: str | None = None) -> list[KernelInfo]:
-    """Every registered descriptor, sorted by (kind, name).
-
-    ``kind`` restricts the listing to one phase kind.  This is the
-    ``repro kernels`` data source and what the tuner builds its
-    candidate pools from.
+    The ``repro kernels`` data source; user kernels describe as ``""``.
     """
-    if kind is not None:
-        _check_kind(kind)
+    _check_kind(kind)
     return [
-        _REGISTRY[key].info
-        for key in sorted(_REGISTRY)
-        if kind is None or key[0] == kind
+        (name, _REGISTRY[(kind, name)].description)
+        for name in kernel_names(kind)
     ]
 
 
@@ -241,136 +156,61 @@ def create_kernel(kind: str, name: str) -> object:
 
 
 # ------------------------------------------------------------- built-ins
-register_kernel(
+_register(
     "scorer",
     "modularity",
     ModularityScorer,
-    info=KernelInfo(
-        "scorer",
-        "modularity",
-        supports_sharded=True,
-        regime="any",
-        description="CNM merge gain (the paper's default objective)",
-    ),
+    "CNM merge gain (the paper's default objective)",
 )
-register_kernel(
+_register(
     "scorer",
     "conductance",
     ConductanceScorer,
-    info=KernelInfo(
-        "scorer",
-        "conductance",
-        supports_sharded=True,
-        regime="any",
-        description="negative conductance of the merged pair",
-    ),
+    "negative conductance of the merged pair",
 )
-register_kernel(
+_register(
     "scorer",
     "weight",
     WeightScorer,
-    info=KernelInfo(
-        "scorer",
-        "weight",
-        supports_sharded=True,
-        regime="any",
-        description="raw edge weight (heaviest-first agglomeration)",
-    ),
+    "raw edge weight (heaviest-first agglomeration)",
 )
-register_kernel(
+_register(
     "matcher",
     "worklist",
     lambda: match_locally_dominant,
-    info=KernelInfo(
-        "matcher",
-        "worklist",
-        # Streams via the bit-identical gmm twin once spilled.
-        supports_sharded=True,
-        cost_features=("const", "edges", "vertices", "edges_x_cv"),
-        regime="general-purpose; cheapest when few passes survive",
-        description="the paper's improved worklist matching (§IV-B new)",
-    ),
+    "the paper's improved worklist matching (§IV-B new)",
 )
-register_kernel(
+_register(
     "matcher",
     "sweep",
     lambda: match_full_sweep,
-    info=KernelInfo(
-        "matcher",
-        "sweep",
-        supports_sharded=False,
-        cost_features=("const", "edges", "vertices", "edges_x_cv"),
-        regime="dense, low-skew levels (full re-scans amortize)",
-        description="legacy full-sweep matching (§IV-B old)",
-    ),
+    "legacy full-sweep matching (§IV-B old)",
 )
 # The GMM-style cap-respecting matcher: bit-identical to worklist/sweep
 # but streams shard windows, never materialising an edge-length
 # anonymous array (the out-of-core / spill-rung matcher).
-register_kernel(
+_register(
     "matcher",
     "gmm",
     lambda: match_gmm_capped,
-    info=KernelInfo(
-        "matcher",
-        "gmm",
-        supports_sharded=True,
-        cost_features=("const", "edges", "vertices", "edges_x_cv"),
-        regime="RAM-dwarfing inputs; pays a streaming constant in core",
-        description="cap-respecting streamed matching (out-of-core twin)",
-    ),
+    "cap-respecting streamed matching (out-of-core twin)",
 )
-register_kernel(
+_register(
     "contractor",
     "bucket",
     lambda: contract,
-    info=KernelInfo(
-        "contractor",
-        "bucket",
-        # Streams via the bit-identical shard twin once spilled.
-        supports_sharded=True,
-        regime="general-purpose (the paper's §IV-C winner)",
-        description="vectorized bucket-sort contraction (§IV-C new)",
-    ),
+    "vectorized bucket-sort contraction (§IV-C new)",
 )
-register_kernel(
+_register(
     "contractor",
     "chains",
     lambda: contract_hash_chains,
-    info=KernelInfo(
-        "contractor",
-        "chains",
-        supports_sharded=False,
-        cost_features=("const", "edges", "vertices", "edges_x_cv"),
-        regime="low-collision levels; chain walks strangle skewed ones",
-        description="legacy hash-of-linked-lists contraction (§IV-C old)",
-    ),
+    "legacy hash-of-linked-lists contraction (§IV-C old)",
 )
 # Spill-backed bucket-sort contraction for the out-of-core path.
-register_kernel(
+_register(
     "contractor",
     "shard",
     lambda: contract_sharded,
-    info=KernelInfo(
-        "contractor",
-        "shard",
-        supports_sharded=True,
-        regime="RAM-dwarfing inputs; scratch lives in spill memmaps",
-        description="spill-backed bucket-sort contraction (out-of-core)",
-    ),
-)
-# Contraction as the sparse triple product P^T A P over the CSR kernels
-# in spmatrix/ — the Combinatorial-BLAS formulation (§VI), bit-identical
-# to bucket (enforced in tests/test_engine_parity.py).
-register_kernel(
-    "contractor",
-    "spmatrix",
-    lambda: contract_spmatrix,
-    info=KernelInfo(
-        "contractor",
-        "spmatrix",
-        supports_sharded=False,
-        regime="dense community graphs where spgemm row merges win",
-        description="sparse-matrix-product contraction (P^T A P, §VI)",
-    ),
+    "spill-backed bucket-sort contraction (out-of-core)",
 )

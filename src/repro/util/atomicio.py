@@ -50,7 +50,13 @@ def atomic_write(
     final = Path(os.fspath(path))
     tmp = final.with_name(final.name + f".tmp.{os.getpid()}")
     try:
-        with open(tmp, mode, encoding=encoding) as fh:
+        fh = open(tmp, mode, encoding=encoding)
+    except OSError as exc:
+        # Name the destination the caller asked for, not the tmp file.
+        exc.filename = str(final)
+        raise
+    try:
+        with fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

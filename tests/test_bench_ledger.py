@@ -163,6 +163,14 @@ class TestIO:
         with pytest.raises(ReproError, match="malformed ledger"):
             read_ledger(p)
 
+    def test_read_rejects_share_outside_unit_interval(self, tmp_path):
+        d = make_record().as_dict()
+        d["repetitions"][0]["phases"]["contract_share"] = 1.4
+        p = tmp_path / "x.json"
+        p.write_text(json.dumps(d))
+        with pytest.raises(ReproError, match=r"contract_share = 1\.4"):
+            read_ledger(p)
+
 
 class TestCompare:
     def test_identical_is_ok(self):
@@ -387,77 +395,6 @@ class TestAttributionInLedger:
         assert "attribution" not in text
 
 
-class TestTunerBlock:
-    def _tuner_block(self):
-        return {
-            "policy": "cost-model",
-            "kinds": ["matcher", "contractor"],
-            "n_decisions": 2,
-            "selected": {"matcher": {"gmm": 1}, "contractor": {"bucket": 1}},
-            "decisions": [
-                {
-                    "level": 0,
-                    "kind": "matcher",
-                    "chosen": "gmm",
-                    "policy": "cost-model",
-                    "constrained_sharded": True,
-                    "shape": {
-                        "n_vertices": 10,
-                        "n_edges": 20,
-                        "density": 0.4,
-                        "degree_cv": 1.0,
-                    },
-                    "candidates": ["gmm", "worklist"],
-                    "predicted_s": {"gmm": 0.001, "worklist": 0.002},
-                },
-                {
-                    "level": 0,
-                    "kind": "contractor",
-                    "chosen": "bucket",
-                    "policy": "cost-model",
-                    "constrained_sharded": False,
-                    "shape": {
-                        "n_vertices": 10,
-                        "n_edges": 20,
-                        "density": 0.4,
-                        "degree_cv": 1.0,
-                    },
-                    "candidates": ["bucket", "shard"],
-                    "predicted_s": {"bucket": 0.001, "shard": 0.003},
-                },
-            ],
-        }
-
-    def test_tuner_round_trips(self, tmp_path):
-        rec = make_record()
-        rec.repetitions[0].tuner = self._tuner_block()
-        path = write_ledger(rec, directory=tmp_path)
-        loaded = read_ledger(path)
-        assert loaded.repetitions[0].tuner == self._tuner_block()
-        assert loaded.repetitions[1].tuner is None
-
-    def test_pre_tuner_ledger_still_loads(self, tmp_path):
-        path = write_ledger(make_record(), directory=tmp_path)
-        doc = json.loads(path.read_text())
-        for rep in doc["repetitions"]:
-            rep.pop("tuner", None)
-        path.write_text(json.dumps(doc))
-        loaded = read_ledger(path)
-        assert all(r.tuner is None for r in loaded.repetitions)
-
-    def test_render_includes_tuner_summary(self):
-        rec = make_record()
-        rec.repetitions[0].tuner = self._tuner_block()
-        text = render_ledger(rec)
-        assert "tuner (repetition 0)" in text
-        assert "cost-model" in text
-        assert "gmm" in text and "bucket" in text
-        assert "constrained" in text
-
-    def test_render_without_tuner_has_no_block(self):
-        assert "tuner (repetition" not in render_ledger(make_record())
-
-
 class TestConfigDrift:
     def test_no_drift_on_equal_configs(self):
         assert config_drift(make_record(), make_record(name="b")) == []
@@ -465,20 +402,19 @@ class TestConfigDrift:
     def test_detects_each_drifting_key(self):
         base = make_record()
         new = make_record(name="b")
-        new.config = dict(new.config, matcher="auto",
-                          tuner={"policy": "cost-model"})
+        new.config = dict(new.config, matcher="sweep", contractor="chains")
         lines = config_drift(base, new)
         assert len(lines) == 2
         joined = "\n".join(lines)
         assert "config.matcher" in joined
-        assert "'worklist'" in joined and "'auto'" in joined
-        assert "config.tuner" in joined
+        assert "'worklist'" in joined and "'sweep'" in joined
+        assert "config.contractor" in joined
 
     def test_key_absent_on_both_sides_never_drifts(self):
-        # Pre-tuner ledgers have no "tuner" key at all; absence on both
-        # sides must not register as drift.
+        # The toy ledgers record no contractor; absence on both sides
+        # must not register as drift.
         base, new = make_record(), make_record(name="b")
-        assert "tuner" not in base.config
+        assert "contractor" not in base.config
         assert config_drift(base, new) == []
 
     def test_scorer_drift_detected(self):

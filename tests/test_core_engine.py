@@ -28,12 +28,7 @@ class TestRegistry:
     def test_builtins_discoverable(self):
         assert kernel_names("scorer") == ("conductance", "modularity", "weight")
         assert kernel_names("matcher") == ("gmm", "sweep", "worklist")
-        assert kernel_names("contractor") == (
-            "bucket",
-            "chains",
-            "shard",
-            "spmatrix",
-        )
+        assert kernel_names("contractor") == ("bucket", "chains", "shard")
 
     def test_kernel_kinds(self):
         assert KERNEL_KINDS == ("scorer", "matcher", "contractor")

@@ -161,74 +161,3 @@ class TestDetectIntegration:
         graph = planted_partition_graph(200, seed=1)
         result = detect_communities(graph)  # must not record anything
         assert result.n_levels > 0
-
-
-class TestTunerField:
-    def test_record_level_stores_tuner_copy(self):
-        tl = QualityTimeline()
-        picked = {"matcher": "gmm", "contractor": "bucket",
-                  "constrained_sharded": False}
-        s = tl.record_level(
-            level=0,
-            n_vertices_entering=10,
-            n_pairs=2,
-            matching_passes=1,
-            n_communities=8,
-            modularity=0.1,
-            coverage=0.3,
-            member_counts=np.array([1, 1, 2]),
-            tuner=picked,
-        )
-        assert s.tuner == picked
-        picked["matcher"] = "mutated"
-        assert s.tuner["matcher"] == "gmm"  # stored a copy
-
-    def test_tuner_defaults_none_and_round_trips(self):
-        tl = QualityTimeline()
-        tl.record_level(
-            level=0,
-            n_vertices_entering=10,
-            n_pairs=2,
-            matching_passes=1,
-            n_communities=8,
-            modularity=0.1,
-            coverage=0.3,
-            member_counts=np.array([1, 1, 2]),
-        )
-        tl.record_level(
-            level=1,
-            n_vertices_entering=8,
-            n_pairs=1,
-            matching_passes=1,
-            n_communities=7,
-            modularity=0.2,
-            coverage=0.4,
-            member_counts=np.array([1, 2]),
-            tuner={"matcher": "sweep"},
-        )
-        assert tl.levels[0].tuner is None
-        d = tl.as_dict()
-        assert d["version"] == TIMELINE_SCHEMA_VERSION  # still v1
-        tl2 = QualityTimeline.from_dict(d)
-        assert tl2.levels == tl.levels
-        assert tl2.levels[1].tuner == {"matcher": "sweep"}
-
-    def test_pre_tuner_dict_still_loads(self):
-        # A timeline serialized before the tuner field existed has no
-        # "tuner" key per level; from_dict must default it to None.
-        tl = QualityTimeline()
-        tl.record_level(
-            level=0,
-            n_vertices_entering=10,
-            n_pairs=2,
-            matching_passes=1,
-            n_communities=8,
-            modularity=0.1,
-            coverage=0.3,
-            member_counts=np.array([1, 1, 2]),
-        )
-        d = tl.as_dict()
-        for lvl in d["levels"]:
-            lvl.pop("tuner", None)
-        tl2 = QualityTimeline.from_dict(d)
-        assert tl2.levels[0].tuner is None

@@ -189,3 +189,43 @@ class TestVerifyAndFaults:
             plan = FaultPlan.sigkill_at(point, [0])
             assert plan.decide_service(point, 0) is not None
             assert plan.decide_service(point, 1) is None
+
+
+class TestIncrementalVsScratch:
+    """After a drifting replay the incremental answer stays near scratch."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_final_modularity_within_epsilon_of_scratch(self, tmp_path, seed):
+        from repro.core import TerminationCriteria, detect_communities
+        from repro.metrics import modularity
+        from repro.stream import generate_edge_log, read_edge_log
+
+        log = generate_edge_log(
+            tmp_path / "edges.log",
+            n_batches=60,
+            batch_size=128,
+            n_vertices=1000,
+            n_blocks=20,
+            drift_every=20,
+            p_delete=0.15,
+            seed=seed,
+        )
+        svc = DetectionService(tmp_path / "svc", StreamConfig())
+        svc.open()
+        try:
+            results = [
+                svc.ingest(i, j, w, op) for _, i, j, w, op in read_edge_log(log)
+            ]
+            graph = svc.store.as_graph()
+            q_stream = modularity(graph, svc.partition)
+            reruns = svc.report.stream_reruns
+        finally:
+            svc.close()
+        scratch = detect_communities(
+            graph, termination=TerminationCriteria.local_maximum()
+        )
+        assert reruns >= 1
+        # The bound must cover a long incremental tail, not a fresh rerun.
+        last_rerun = max(k for k, r in enumerate(results) if r.rerun)
+        assert len(results) - 1 - last_rerun >= 40
+        assert abs(q_stream - modularity(graph, scratch.partition)) <= 0.02
