@@ -39,7 +39,7 @@ from repro.core import (
     kernel_names,
     refine_partition,
 )
-from repro.errors import RunAbortedError
+from repro.errors import GraphFormatError, RunAbortedError
 from repro.graph import (
     load_npz,
     read_edgelist,
@@ -1510,6 +1510,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # permission or a full disk is bad input, not a crash.
         where = f"{exc.filename}: " if exc.filename is not None else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
+    except GraphFormatError as exc:
+        # A malformed graph file is bad input too; its message already
+        # names the file and line.
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         if handler is not None:

@@ -365,11 +365,11 @@ class MatchKernel:
     ) -> MatchingResult:
         if _streams_shards(ctx, graph) and self.name == "worklist":
             # The cap-respecting streamed matcher is bit-identical to
-            # the worklist matcher (same matching, passes, failed-claim
-            # counts and recorder profile), so substituting it keeps
-            # every statistic while bounding the anonymous working set
-            # to O(V + shard).  Other matchers run as configured, on the
-            # memmap-backed graph.
+            # the worklist matcher (same matching, passes and failed-claim
+            # counts; it scans every live edge each pass), so substituting
+            # it keeps every level statistic while bounding the anonymous
+            # working set to O(V + shard).  Other matchers run as
+            # configured, on the memmap-backed graph.
             return match_gmm_capped(
                 graph, scores, ctx.recorder, tracer=ctx.tracer
             )

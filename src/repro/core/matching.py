@@ -6,9 +6,18 @@ Two implementations of the same locally-dominant matching:
   maintains a worklist of currently unmatched vertices; each pass, every
   unmatched vertex proposes its highest-scored unmatched neighbor under a
   total order (score, then index), claims are checked from both sides, and
-  winners leave the worklist.  Our vectorized re-expression processes the
-  shrinking set of *live* edges (both endpoints unmatched) per pass — the
-  same work profile as scanning each worklist vertex's bucket.
+  winners leave the worklist.  It runs in two phases.  The first is
+  vectorized: each pass recomputes every vertex's best edge from all
+  *live* edges (both endpoints unmatched), which is cheap while passes
+  drain the live set quickly.  Once the passes have scanned
+  ``_CURSOR_SWITCH`` times the residual live edges, the last one removed
+  less than ``1/_CURSOR_SWITCH`` of them and at least
+  ``_CURSOR_MIN_EDGES`` remain, the residual edges are
+  ranked once into a per-vertex incidence list, best edge first, with a
+  cursor per vertex.  From then on a pass advances and re-checks only the
+  vertices whose proposed partner was just matched — the paper's
+  worklist.  Both phases give the same proposals, so the matching, pass
+  count and failed claims do not depend on where the switch falls.
 
 * :func:`match_full_sweep` — the paper's *legacy* algorithm from [4]: every
   pass sweeps across the entire edge array and contends on per-vertex
@@ -36,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConvergenceError
+from repro.graph.edgelist import EdgeList
 from repro.graph.graph import CommunityGraph
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import KernelRecord, TraceRecorder
@@ -52,6 +62,29 @@ __all__ = [
 
 _SENTINEL_EDGE = np.iinfo(np.int64).max
 _MIX_MULTIPLIER = np.int64(-7046029254386353131)  # 0x9E3779B97F4A7C15 as int64
+
+#: The worklist kernel switches to its cursor phase once its vectorized
+#: passes have scanned at least this many times the residual live edges
+#: and the last pass removed less than 1/this of the live edges it saw.
+#: Building the cursor phase (a lexsort of the residual edges plus a
+#: stable argsort of their endpoints) costs about 7-9 vectorized-pass
+#: scans per residual edge (2-vCPU x86-64 VM, NumPy 2.4, 541k residual
+#: edges).  The first condition caps that set-up at about half the scans
+#: already made; the second waits until a pass drains so little that, at
+#: that rate, 16 more passes would scan about 10 times the residual edges.
+#: No level of an R-MAT 17 graph switches.  Both conditions are observed
+#: work counts.
+_CURSOR_SWITCH = 16
+
+#: ... and only with at least this many residual live edges.  Below it a
+#: pass is mostly fixed NumPy call overhead either way (a cursor pass
+#: costs 40-80 us, as much as a vectorized pass over a few thousand
+#: edges), so the set-up does not pay.  On planted-partition graphs of
+#: 300-5000 vertices, switching with 0.3k-7.7k residual edges made
+#: matching 3-105% slower, with 9.3k-9.7k between 8% faster and 20%
+#: slower, and with 12.8k-78k between 3% slower and 60% faster (median
+#: 21% faster).
+_CURSOR_MIN_EDGES = 8192
 
 
 def _edge_priority(edge_index: np.ndarray) -> np.ndarray:
@@ -97,6 +130,271 @@ class MatchingResult:
         return len(self.matched_edges)
 
 
+def _worklist_record(
+    items: int, partners: np.ndarray, n_new: int
+) -> KernelRecord:
+    """One worklist pass: every proposer issues one two-sided claim.
+
+    Collisions only occur when several proposers target the same partner
+    slot; ``partners`` holds each proposer's proposed partner.
+    """
+    n_prop = len(partners)
+    colliding = n_prop - len(np.unique(partners))
+    return KernelRecord(
+        name="match_pass",
+        items=max(items, 1),
+        mem_words=5 * items + 2 * n_new,
+        atomics=2 * n_prop,
+        locks=2 * n_new,
+        contention=min(1.0, 0.5 * colliding / max(1, n_prop)),
+    )
+
+
+def _claim_pass(
+    e: EdgeList,
+    scores: np.ndarray,
+    live: np.ndarray,
+    partner: np.ndarray,
+    unmatched: np.ndarray,
+    matched_edges: list[np.ndarray],
+    recorder: TraceRecorder | None,
+    *,
+    legacy_sweep: bool,
+    scan_items: int,
+) -> tuple[int, int, np.ndarray]:
+    """One vectorized pass over every live edge.
+
+    Returns ``(matched, failed_claims, live)``; for the worklist the
+    returned live edges drop those the pass matched an endpoint of.
+    """
+    n = len(partner)
+    u = e.ei[live]
+    v = e.ej[live]
+    s = scores[live]
+    prio = _edge_priority(live)
+
+    # Per-vertex best score over live incident edges (atomic-max in C).
+    best = np.full(n, -np.inf)
+    np.maximum.at(best, u, s)
+    np.maximum.at(best, v, s)
+
+    # Tie-break on minimum hashed priority among score-maximal edges —
+    # a fixed total order, as the paper requires (it uses score then
+    # vertex indices; see _edge_priority for why we hash).
+    best_edge = np.full(n, _SENTINEL_EDGE, dtype=np.int64)
+    at_u = s == best[u]
+    at_v = s == best[v]
+    np.minimum.at(best_edge, u[at_u], prio[at_u])
+    np.minimum.at(best_edge, v[at_v], prio[at_v])
+
+    # An edge wins when both endpoints chose it (the two-sided claim).
+    mutual = (best_edge[u] == prio) & (best_edge[v] == prio)
+    n_new = int(np.count_nonzero(mutual))
+    if n_new == 0:
+        raise ConvergenceError(
+            "no locally dominant edge found among live edges; "
+            "scores may contain NaN"
+        )
+
+    chosen_u = best_edge[u] == prio  # this edge is u's chosen claim
+    chosen_v = best_edge[v] == prio
+    failed = int(np.count_nonzero((chosen_u | chosen_v) & ~mutual))
+
+    mu = u[mutual]
+    mv = v[mutual]
+    partner[mu] = mv
+    partner[mv] = mu
+    unmatched[mu] = False
+    unmatched[mv] = False
+    matched_edges.append(live[mutual])
+
+    if recorder is not None:
+        if legacy_sweep:
+            # Every scanned live edge pounds both endpoint slots with
+            # atomic-max updates: a high-degree vertex absorbs its whole
+            # degree in contended traffic each sweep (§IV-B hot spots).
+            # Every candidate edge pays a cheap liveness test; only
+            # still-live edges do the scoring reads.
+            atomics = 2 * len(live)
+            distinct = len(np.unique(np.concatenate([u, v])))
+            recorder.record(
+                KernelRecord(
+                    name="match_pass",
+                    items=max(scan_items, 1),
+                    mem_words=2 * scan_items + 5 * len(live) + 2 * n_new,
+                    atomics=atomics,
+                    locks=2 * n_new,
+                    contention=min(1.0, 1.0 - distinct / max(1, atomics)),
+                )
+            )
+        else:
+            partners = np.concatenate([v[chosen_u], u[chosen_v]])
+            recorder.record(_worklist_record(scan_items, partners, n_new))
+
+    if not legacy_sweep:
+        live = live[unmatched[u] & unmatched[v]]
+    return n_new, failed, live
+
+
+class _RankedIncidence:
+    """Per-vertex incidence of the residual live edges, best edge first.
+
+    Incidence entry ``t`` leads along edge ``edge[t]`` to ``other[t]``;
+    vertex ``v`` owns entries ``cursor[v]`` up to ``end[v]``, ranked by
+    the matching's total order.  Entries before a cursor lead to matched
+    vertices, so an unmatched vertex's best live edge is the first entry
+    at or after its cursor whose far end is unmatched.
+    """
+
+    def __init__(
+        self, e: EdgeList, scores: np.ndarray, live: np.ndarray, n: int
+    ) -> None:
+        # The kernel's strict total order: score descending, then hashed
+        # priority ascending.
+        ranked = live[np.lexsort((_edge_priority(live), -scores[live]))]
+        ends = np.empty(2 * len(ranked), dtype=e.ei.dtype)
+        ends[0::2] = e.ei[ranked]
+        ends[1::2] = e.ej[ranked]
+        offs = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=offs[1:])
+        # A stable sort by vertex keeps each vertex's entries in rank
+        # order.  Slot ``p`` of ``ends`` is an endpoint of ranked edge
+        # ``p >> 1``; its far end sits in slot ``p ^ 1``.
+        perm = np.argsort(ends, kind="stable")
+        perm ^= 1
+        self.other = ends[perm]
+        del ends
+        perm >>= 1
+        self.edge = ranked[perm]
+        del perm, ranked
+        self.cursor = offs[:-1].copy()
+        self.end = offs[1:]
+
+    def advance(self, todo: np.ndarray, unmatched: np.ndarray) -> int:
+        """Move each ``todo`` cursor to its first live entry, or to its end.
+
+        Windows of 4, 8, 16, … entries per round, so a hub skips
+        thousands of dead entries in O(log) rounds.  Returns the number
+        of entries examined.
+        """
+        cursor, end = self.cursor, self.end
+        examined = 0
+        width = 4
+        while len(todo):
+            start = cursor[todo]
+            stop = np.minimum(start + width, end[todo])
+            offset = np.arange(width)
+            idx = np.minimum(start[:, None] + offset, stop[:, None] - 1)
+            alive = (offset < (stop - start)[:, None]) & unmatched[self.other[idx]]
+            found = alive.any(axis=1)
+            cursor[todo] = np.where(found, start + alive.argmax(axis=1), stop)
+            examined += int((stop - start).sum())
+            todo = todo[~found & (stop < end[todo])]
+            width *= 2
+        return examined
+
+    def walk(self, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of ``verts`` from their cursors on: (far ends, edges)."""
+        start = self.cursor[verts]
+        length = self.end[verts] - start
+        skip = np.repeat(start - (np.cumsum(length) - length), length)
+        idx = np.arange(len(skip)) + skip
+        return self.other[idx], self.edge[idx]
+
+
+def _cursor_passes(
+    inc: _RankedIncidence,
+    partner: np.ndarray,
+    unmatched: np.ndarray,
+    matched_edges: list[np.ndarray],
+    recorder: TraceRecorder | None,
+    *,
+    tracer: Tracer | NullTracer,
+    passes: int,
+    max_passes: int,
+) -> tuple[int, int]:
+    """Finish a worklist matching from ``inc``; returns (passes, failed claims).
+
+    Each pass re-proposes only from the vertices whose proposed partner
+    was matched in the pass before (at first, every vertex with a live
+    edge).  The matching, pass count and failed claims are the vectorized
+    passes' own: every vertex still proposes its best live edge.
+    """
+    worklist_gauge = tracer.gauge("match.worklist_edges")
+    fresh = np.zeros(len(partner), dtype=bool)  # matched in this pass
+    todo = np.flatnonzero(inc.end > inc.cursor)
+    proposers = len(todo)  # unmatched vertices with a live edge
+    waiting = todo  # proposer pool for the recorder's contention figure
+    n_live = len(inc.edge) // 2
+    total_failed = 0
+    while n_live:
+        passes += 1
+        if passes > max_passes:
+            raise ConvergenceError("matching exceeded its pass budget")
+
+        with tracer.span("match_pass", pass_index=passes) as pass_span:
+            worklist_gauge.set(n_live)
+            examined = inc.advance(todo, unmatched)
+            at = inc.cursor[todo]
+            proposing = at < inc.end[todo]
+            proposers -= len(todo) - int(np.count_nonzero(proposing))
+            todo, at = todo[proposing], at[proposing]
+
+            # A proposal that did not change was not mutual last pass and
+            # cannot have become so unless its far end's proposal changed,
+            # so only the changed ones are checked.
+            far = inc.other[at]
+            edge = inc.edge[at]
+            mutual = inc.edge[inc.cursor[far]] == edge
+            won, first = np.unique(edge[mutual], return_index=True)
+            n_new = len(won)
+            # Every proposal that is not mutual is one endpoint's alone.
+            failed = proposers - 2 * n_new
+            total_failed += failed
+            proposers -= 2 * n_new
+
+            if recorder is not None:
+                waiting = waiting[
+                    unmatched[waiting] & (inc.cursor[waiting] < inc.end[waiting])
+                ]
+                partners = inc.other[inc.cursor[waiting]]
+
+            a = todo[mutual][first]
+            b = far[mutual][first]
+            partner[a] = b
+            partner[b] = a
+            matched_edges.append(won)
+
+            # Walk the new pairs' incidence: it drops their live edges
+            # from the count (an edge between two new pairs is seen from
+            # both ends) and finds the vertices that proposed to them.
+            newly = np.concatenate([a, b])
+            fresh[newly] = True
+            far_ends, edges = inc.walk(newly)
+            was_live = unmatched[far_ends]
+            both_new = fresh[far_ends]
+            n_live_before = n_live
+            n_live -= int(np.count_nonzero(was_live)) - int(
+                np.count_nonzero(both_new)
+            ) // 2
+            unmatched[newly] = False
+            fresh[newly] = False
+            jilted = was_live & ~both_new
+            far_ends, edges = far_ends[jilted], edges[jilted]
+            todo = far_ends[inc.edge[inc.cursor[far_ends]] == edges]
+            examined += len(was_live)
+
+            pass_span.set(
+                items=examined,
+                live_edges=n_live_before,
+                matched=n_new,
+                failed_claims=failed,
+            )
+            if recorder is not None:
+                recorder.record(_worklist_record(examined, partners, n_new))
+    return passes, total_failed
+
+
 def _run_passes(
     graph: CommunityGraph,
     scores: np.ndarray,
@@ -119,6 +417,7 @@ def _run_passes(
     unmatched = np.ones(n, dtype=bool)
     total_failed = 0
     passes = 0
+    scanned = 0
     if max_passes is None:
         max_passes = 2 * n + 4  # worst case one pair per pass
     elif max_passes < 0:
@@ -133,96 +432,54 @@ def _run_passes(
         with tr.span("match_pass", pass_index=passes) as pass_span:
             if legacy_sweep:
                 # Legacy: rescan the whole edge array and re-derive liveness.
-                scanned = candidates
-                mask = unmatched[e.ei[scanned]] & unmatched[e.ej[scanned]]
-                live = scanned[mask]
-                scan_items = len(scanned)
+                scan_items = len(candidates)
+                mask = unmatched[e.ei[candidates]] & unmatched[e.ej[candidates]]
+                live = candidates[mask]
             else:
                 scan_items = len(live)
             worklist_gauge.set(len(live))
             pass_span.set(items=scan_items, live_edges=len(live))
             if len(live) == 0:
                 break
-
-            u = e.ei[live]
-            v = e.ej[live]
-            s = scores[live]
-            prio = _edge_priority(live)
-
-            # Per-vertex best score over live incident edges (atomic-max in C).
-            best = np.full(n, -np.inf)
-            np.maximum.at(best, u, s)
-            np.maximum.at(best, v, s)
-
-            # Tie-break on minimum hashed priority among score-maximal edges —
-            # a fixed total order, as the paper requires (it uses score then
-            # vertex indices; see _edge_priority for why we hash).
-            best_edge = np.full(n, _SENTINEL_EDGE, dtype=np.int64)
-            at_u = s == best[u]
-            at_v = s == best[v]
-            np.minimum.at(best_edge, u[at_u], prio[at_u])
-            np.minimum.at(best_edge, v[at_v], prio[at_v])
-
-            # An edge wins when both endpoints chose it (the two-sided claim).
-            mutual = (best_edge[u] == prio) & (best_edge[v] == prio)
-            n_new = int(np.count_nonzero(mutual))
-            if n_new == 0:
-                raise ConvergenceError(
-                    "no locally dominant edge found among live edges; "
-                    "scores may contain NaN"
-                )
-
-            chosen_u = best_edge[u] == prio  # this edge is u's chosen claim
-            chosen_v = best_edge[v] == prio
-            failed = int(np.count_nonzero((chosen_u | chosen_v) & ~mutual))
+            n_new, failed, live = _claim_pass(
+                e,
+                scores,
+                live,
+                partner,
+                unmatched,
+                matched_edges,
+                recorder,
+                legacy_sweep=legacy_sweep,
+                scan_items=scan_items,
+            )
             total_failed += failed
-
-            mu = u[mutual]
-            mv = v[mutual]
-            partner[mu] = mv
-            partner[mv] = mu
-            unmatched[mu] = False
-            unmatched[mv] = False
-            matched_edges.append(live[mutual])
             pass_span.set(matched=n_new, failed_claims=failed)
 
-            if recorder is not None:
-                if legacy_sweep:
-                    # Every scanned live edge pounds both endpoint slots with
-                    # atomic-max updates: a high-degree vertex absorbs its whole
-                    # degree in contended traffic each sweep (§IV-B hot spots).
-                    atomics = 2 * len(live)
-                    distinct = len(np.unique(np.concatenate([u, v])))
-                    contention = 1.0 - distinct / max(1, atomics)
-                else:
-                    # Worklist algorithm: each unmatched vertex issues exactly
-                    # one two-sided claim for its chosen edge.  Collisions only
-                    # occur when several proposers target the same partner slot.
-                    partners = np.concatenate([v[chosen_u], u[chosen_v]])
-                    n_prop = len(partners)
-                    atomics = 2 * n_prop
-                    colliding = n_prop - len(np.unique(partners))
-                    contention = 0.5 * colliding / max(1, n_prop)
-                if legacy_sweep:
-                    # Full sweep: every candidate edge pays a cheap liveness
-                    # test; only still-live edges do the scoring reads.
-                    mem_words = 2 * scan_items + 5 * len(live) + 2 * n_new
-                else:
-                    mem_words = 5 * scan_items + 2 * n_new
-                recorder.record(
-                    KernelRecord(
-                        name="match_pass",
-                        items=max(scan_items, 1),
-                        mem_words=mem_words,
-                        atomics=atomics,
-                        locks=2 * n_new,
-                        contention=min(1.0, contention),
-                    )
-                )
+        if not legacy_sweep:
+            scanned += scan_items
+            if (
+                len(live) >= _CURSOR_MIN_EDGES
+                and scanned >= _CURSOR_SWITCH * len(live)
+                and _CURSOR_SWITCH * (scan_items - len(live)) < scan_items
+            ):
+                break
 
-            if not legacy_sweep:
-                keep = unmatched[u] & unmatched[v]
-                live = live[keep]
+    if len(live):
+        # The worklist's live set stopped draining: finish with cursors.
+        del candidates
+        incidence = _RankedIncidence(e, scores, live, n)
+        del live
+        passes, failed = _cursor_passes(
+            incidence,
+            partner,
+            unmatched,
+            matched_edges,
+            recorder,
+            tracer=tr,
+            passes=passes,
+            max_passes=max_passes,
+        )
+        total_failed += failed
 
     matched = (
         np.concatenate(matched_edges)

@@ -591,6 +591,34 @@ class TestCompareConfigDrift:
         assert "warning" not in capsys.readouterr().err
 
 
+class TestGraphFormatBoundary:
+    """A malformed graph file is one ``error:`` line and exit 2 in every verb."""
+
+    @pytest.fixture
+    def bad_id(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1 1\n1 x 1\n")
+        return str(path)
+
+    def test_detect(self, bad_id, tmp_path, capsys):
+        rc = main(["detect", bad_id, "-o", str(tmp_path / "labels.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad_id}:2: bad vertex id 'x'\n"
+
+    def test_info_short_line(self, tmp_path, capsys):
+        path = tmp_path / "short.txt"
+        path.write_text("0 1 1\n1 2\n")
+        assert main(["info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:2: malformed edge line '1 2'\n"
+
+    def test_analyze(self, bad_id, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\t0\n1\t0\n")
+        assert main(["analyze", bad_id, str(labels)]) == 2
+        assert capsys.readouterr().err == f"error: {bad_id}:2: bad vertex id 'x'\n"
+
+
 class TestOSErrorBoundary:
     """An OS failure in any verb is one ``error:`` line and exit 2."""
 

@@ -237,3 +237,47 @@ class TestApproximationCertificate:
         res = match_locally_dominant(karate, scores)
         with pytest.raises(ValueError):
             approximation_certificate(karate, scores[:-1], res)
+
+
+class TestWorklistWorkCounts:
+    """The worklist's per-pass accounting, pinned where the cursor phase runs."""
+
+    @pytest.fixture(scope="class")
+    def sbm(self):
+        from repro.generators import planted_partition_graph
+
+        g = planted_partition_graph(2000, seed=0)
+        return g, ModularityScorer().score(g)
+
+    def test_live_edges_per_pass_equal_the_sweeps(self, sbm):
+        from repro.obs import Tracer
+
+        g, scores = sbm
+        worklist, sweep = Tracer(), Tracer()
+        res = match_locally_dominant(g, scores, tracer=worklist)
+        match_full_sweep(g, scores, tracer=sweep)
+        live = [s.attrs["live_edges"] for s in worklist.find("match_pass")]
+        swept = [s.attrs["live_edges"] for s in sweep.find("match_pass")]
+        # The sweep runs one extra pass that finds no live edge.
+        assert swept[res.passes:] == [0]
+        assert live == swept[: res.passes]
+        gauge = worklist.metrics.gauges["match.worklist_edges"]
+        assert gauge.n_sets == res.passes
+        assert gauge.max == live[0] and gauge.min == live[-1]
+
+    def test_sbm_2000_counts_are_pinned(self, sbm):
+        g, scores = sbm
+        rec = TraceRecorder()
+        res = match_locally_dominant(g, scores, rec)
+        assert res.passes == 85
+        assert rec.total_items("match_pass") == 188501
+        assert len(rec.by_name("match_pass")) == res.passes
+
+    def test_rmat_10_counts_are_pinned(self):
+        from repro.generators import rmat_graph
+
+        g = rmat_graph(10, 16, seed=0)
+        rec = TraceRecorder()
+        res = match_locally_dominant(g, ModularityScorer().score(g), rec)
+        assert res.passes == 10
+        assert rec.total_items("match_pass") == 17757

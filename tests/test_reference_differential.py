@@ -14,14 +14,18 @@ from repro.core import (
     ConductanceScorer,
     ModularityScorer,
     contract,
+    match_full_sweep,
     match_locally_dominant,
 )
+from repro.generators import planted_partition_graph
 from repro.graph import from_edges
 from repro.metrics import Partition, coverage, modularity
+from repro.obs import Tracer
 from repro.reference import (
     conductance_scores_ref,
     contract_ref,
     coverage_ref,
+    greedy_matching_ref,
     locally_dominant_matching_ref,
     modularity_ref,
     modularity_scores_ref,
@@ -81,6 +85,78 @@ class TestMatchingDifferential:
         fast = match_locally_dominant(karate, scores)
         slow = locally_dominant_matching_ref(karate, scores)
         np.testing.assert_array_equal(fast.partner, slow.partner)
+
+
+class TestCursorPhaseDifferential:
+    """Graphs whose live set stops draining, so the worklist's cursor phase runs."""
+
+    @staticmethod
+    def traced(g, scores):
+        """The worklist's result, and whether its cursor phase ran."""
+        tr = Tracer()
+        result = match_locally_dominant(g, scores, tracer=tr)
+        spans = tr.find("match_pass")
+        # Vectorized passes scan every live edge; cursor passes fewer.
+        fired = sum(s.items for s in spans) < sum(
+            s.attrs["live_edges"] for s in spans
+        )
+        return result, fired
+
+    @staticmethod
+    def check(g, scores, fires):
+        fast, fired = TestCursorPhaseDifferential.traced(g, scores)
+        assert fired == fires
+        slow = locally_dominant_matching_ref(g, scores)
+        np.testing.assert_array_equal(fast.partner, slow.partner)
+        np.testing.assert_array_equal(fast.matched_edges, slow.matched_edges)
+        assert fast.passes == slow.passes
+        assert fast.failed_claims == slow.failed_claims
+        np.testing.assert_array_equal(
+            fast.matched_edges, greedy_matching_ref(g, scores)
+        )
+
+    # Seed 2 stops draining with 4.3k live edges, below the switch's
+    # minimum residual, so it stays vectorized.
+    @pytest.mark.parametrize("seed, fires", [(0, True), (1, True), (2, False)])
+    def test_planted_partition_modularity(self, seed, fires):
+        g = planted_partition_graph(2000, seed=seed)
+        self.check(g, ModularityScorer().score(g), fires)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_partition_equal_scores(self, seed):
+        # All-equal scores drain in a few passes: no cursor phase.
+        g = planted_partition_graph(2000, seed=seed)
+        self.check(g, np.ones(g.n_edges), fires=False)
+
+    def test_hub_skips_its_dead_entries(self):
+        # A path matched one pair per pass from its heavy end, plus a hub
+        # whose best edge goes to the path's light end and whose worst
+        # goes to a leaf: every other hub entry dies while the best edge
+        # is live, so the hub's cursor finally crosses thousands of dead
+        # entries at once to reach the leaf.  The 2101 passes are too
+        # many for the transcribed reference; the sweep kernel, which
+        # never switches, and the greedy oracle stand in for it.
+        m = 4200
+        hub, leaf = m, m + 1
+        path = np.arange(m)
+        g = from_edges(
+            np.concatenate([path[:-1], np.full(m + 1, hub)]),
+            np.concatenate([path[1:], path, [leaf]]),
+            np.concatenate([np.arange(1.0, m), 0.5 - 1e-5 * path, [0.1]]),
+        )
+        scores = g.edges.w.copy()
+        fast, fired = self.traced(g, scores)
+        assert fired
+        sweep = match_full_sweep(g, scores)
+        np.testing.assert_array_equal(fast.partner, sweep.partner)
+        np.testing.assert_array_equal(fast.matched_edges, sweep.matched_edges)
+        # The sweep's last pass only finds that no live edge is left.
+        assert fast.passes == sweep.passes - 1
+        assert fast.failed_claims == sweep.failed_claims
+        np.testing.assert_array_equal(
+            fast.matched_edges, greedy_matching_ref(g, scores)
+        )
+        assert fast.partner[hub] == leaf
 
 
 class TestContractionDifferential:
