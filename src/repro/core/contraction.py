@@ -5,8 +5,10 @@ edge's endpoints through the match map, re-apply the parity hash, bucket by
 the first stored endpoint (an atomic fetch-and-add per edge — no locks),
 sort within buckets by the second endpoint, accumulate duplicates, and copy
 back out.  Our vectorized expression fuses bucketing and in-bucket sorting
-into one lexsort plus a segmented reduction, touching each edge O(1) times
-exactly like the paper's linear-time bucket sort.
+into one sort of a single int64 key ``first * k + second``
+(:func:`~repro.graph.edgelist.group_pairs`), then sums each duplicate
+group with one ``np.bincount`` — left to right in edge order, the same
+order as the paper's stable bucket fill and the dict-based reference.
 
 :func:`contract_hash_chains` is the *legacy* method due to John T. Feo:
 edges go into linked lists selected by an endpoint hash; each insertion
@@ -27,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.matching import MatchingResult
-from repro.graph.edgelist import EdgeList, parity_canonical
+from repro.graph.edgelist import EdgeList, group_pairs, parity_canonical
 from repro.graph.graph import CommunityGraph
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import KernelRecord, TraceRecorder
@@ -83,6 +85,7 @@ def _build_contracted(
         first, second = parity_canonical(ni[keep], nj[keep])
         w = e.w[keep]
         sp.set(items=e.n_edges, n_loops=int(np.count_nonzero(loops)))
+        del ni, nj, loops, keep
 
     with tr.span("contract_bucket_sort") as sp:
         if tr.enabled and len(first):
@@ -90,18 +93,12 @@ def _build_contracted(
             tr.histogram("contract.bucket_occupancy").observe_many(
                 occupancy[occupancy > 0]
             )
-        order = np.lexsort((second, first))
-        first = first[order]
-        second = second[order]
-        w = w[order]
-        sp.set(items=len(first))
+        first, second, inverse = group_pairs(first, second, k)
+        sp.set(items=len(inverse))
 
     with tr.span("contract_accumulate") as sp:
-        if len(first):
-            starts = segment_starts(first * np.int64(k) + second)
-            w = np.add.reduceat(w, starts)
-            first = first[starts]
-            second = second[starts]
+        w = np.bincount(inverse, weights=w, minlength=len(first))
+        del inverse
         edges = EdgeList._from_grouped(first, second, w, k)
         sp.set(items=len(first))
     return CommunityGraph(edges, new_self.astype(np.float64, copy=False))

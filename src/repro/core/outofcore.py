@@ -23,14 +23,17 @@ dendrogram:
   accumulating them shard-at-a-time yields the same fixed point, and
   tie-break priorities hash *global* edge indices.
 * :func:`contract_sharded` streams the relabel into scratch buffers but
-  runs the *same* global lexsort + left-to-right segmented reduction,
-  preserving float accumulation order exactly (per-shard pre-reduction
-  would not — duplicate groups spanning a shard boundary would sum in a
-  different order).
+  runs the *same* global pair grouping
+  (:func:`~repro.graph.edgelist.group_pairs`) and ``np.bincount``
+  accumulation, which sums each duplicate group left to right in edge
+  order — preserving float accumulation order exactly (per-shard
+  pre-reduction would not: duplicate groups spanning a shard boundary
+  would sum in a different order).
 
-The residual anonymous cost is the contraction's sort permutation
-(``O(E')`` indices from ``np.lexsort``); everything else of edge order
-lives in spill-backed scratch.  See ``docs/OUT_OF_CORE.md``.
+The residual anonymous cost is the contraction's grouping: the int64
+key, its sort permutation and the group index of every kept edge (about
+``3·E'`` words); everything else of edge order lives in spill-backed
+scratch.  See ``docs/OUT_OF_CORE.md``.
 """
 
 from __future__ import annotations
@@ -48,13 +51,12 @@ from repro.core.matching import (
 from repro.core.scoring import _record_scoring, validate_scores
 from repro.errors import ConvergenceError
 from repro.graph.csr import ShardedCSRStore, _shard_ranges
-from repro.graph.edgelist import EdgeList, parity_canonical
+from repro.graph.edgelist import EdgeList, group_pairs, parity_canonical
 from repro.graph.graph import CommunityGraph
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import KernelRecord, TraceRecorder
 from repro.spmatrix.spill import scratch_memmap
 from repro.types import NO_VERTEX, SCORE_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
-from repro.util.arrays import segment_starts
 
 __all__ = ["score_sharded", "match_gmm_capped", "contract_sharded"]
 
@@ -350,11 +352,12 @@ def contract_sharded(
     scratch buffers beside the spill store; self-loop weight accumulates
     through sequential ``np.add.at`` over the same element order as the
     in-memory ``np.bincount``, so float sums agree bit for bit.  The
-    final assembly — one global lexsort, segmented left-to-right
-    reduction, bucket build — is byte-for-byte the in-memory pipeline on
-    the scratch arrays, keeping duplicate-group accumulation order (and
-    therefore every contracted weight) identical.  The sort permutation
-    is the one remaining ``O(E')`` anonymous allocation.
+    final assembly — one global pair grouping, a ``np.bincount`` that sums
+    each duplicate group left to right in edge order, bucket build — is
+    byte-for-byte the in-memory pipeline on the scratch arrays, keeping
+    every contracted weight identical.  The grouping's key, permutation
+    and group index (about ``3·E'`` words) are the remaining anonymous
+    allocations.
     """
     tr = as_tracer(tracer)
     with tr.span("contract_map") as sp:
@@ -410,29 +413,12 @@ def contract_sharded(
                 tr.histogram("contract.bucket_occupancy").observe_many(
                     occupancy[occupancy > 0]
                 )
-            order = np.lexsort((second, first))
-            sorted_first = scratch.array("sorted_first", VERTEX_DTYPE, (n_keep,))
-            sorted_second = scratch.array(
-                "sorted_second", VERTEX_DTYPE, (n_keep,)
-            )
-            sorted_w = scratch.array("sorted_w", WEIGHT_DTYPE, (n_keep,))
-            np.take(first, order, out=sorted_first)
-            np.take(second, order, out=sorted_second)
-            np.take(w, order, out=sorted_w)
-            first, second, w = sorted_first, sorted_second, sorted_w
-            del order
+            first, second, inverse = group_pairs(first, second, k)
             sp.set(items=n_keep)
 
         with tr.span("contract_accumulate") as sp:
-            if n_keep:
-                starts = segment_starts(first * np.int64(k) + second)
-                w = np.add.reduceat(w, starts)
-                first = np.asarray(first[starts])
-                second = np.asarray(second[starts])
-            else:
-                first = np.empty(0, dtype=VERTEX_DTYPE)
-                second = np.empty(0, dtype=VERTEX_DTYPE)
-                w = np.empty(0, dtype=WEIGHT_DTYPE)
+            w = np.bincount(inverse, weights=w, minlength=len(first))
+            del inverse
             edges = EdgeList._from_grouped(first, second, w, k)
             sp.set(items=len(first))
         new_graph = CommunityGraph(edges, new_self.astype(np.float64, copy=False))

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.errors import InvariantViolation
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
-from repro.util.arrays import segment_starts
 
 __all__ = [
     "EdgeList",
@@ -72,6 +71,61 @@ def lower_triangle_canonical(
     return np.minimum(i, j), np.maximum(i, j)
 
 
+#: Largest ``width`` whose pair keys fit in int64: the biggest key
+#: ``first * width + second`` is ``width**2 - 1``, and
+#: ``3_037_000_499**2 < 2**63 <= 3_037_000_500**2``.
+_MAX_PAIR_WIDTH = 3_037_000_499
+
+
+def group_pairs(
+    first: np.ndarray, second: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group equal ``(first, second)`` pairs with one single-key sort.
+
+    Both arrays must hold values in ``[0, width)``.  Returns ``(first,
+    second, inverse)``: the distinct pairs in ``(first, second)`` order,
+    and for each input pair the index of its group.  Callers sum weights
+    with ``np.bincount(inverse, weights=w)``, which adds each group's
+    duplicates left to right in input order — the summation order every
+    graph build and contraction promises.
+
+    Raises :class:`OverflowError` when ``width`` is so large that the
+    combined int64 key ``first * width + second`` could wrap.
+    """
+    width = int(width)
+    if width > _MAX_PAIR_WIDTH:
+        raise OverflowError(
+            f"pair key width {width} exceeds {_MAX_PAIR_WIDTH}; "
+            "first * width + second would overflow int64"
+        )
+    m = len(first)
+    if m == 0:
+        return (
+            np.empty(0, dtype=VERTEX_DTYPE),
+            np.empty(0, dtype=VERTEX_DTYPE),
+            np.empty(0, dtype=np.intp),
+        )
+    # Build the key in place, then replace it by its sorted copy; the
+    # sorted buffer is reused for the group ids, so at most three
+    # edge-length int64 arrays are alive at once.
+    key = np.multiply(first, np.int64(width), dtype=np.int64)
+    key += second
+    order = np.argsort(key)
+    key = key[order]
+    new_group = np.empty(m, dtype=bool)
+    new_group[0] = True
+    np.not_equal(key[1:], key[:-1], out=new_group[1:])
+    distinct = key[new_group]
+    np.cumsum(new_group, out=key)
+    key -= 1
+    del new_group
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = key
+    del key, order
+    first, second = np.divmod(distinct, np.int64(width))
+    return first, second, inverse
+
+
 def bucket_sizes(first: np.ndarray, n_vertices: int) -> np.ndarray:
     """Edges per bucket for a given stored-first-endpoint assignment."""
     return np.bincount(
@@ -107,14 +161,13 @@ class EdgeList:
         j: np.ndarray,
         w: np.ndarray | None,
         n_vertices: int,
-        *,
-        accumulate: bool = True,
     ) -> "EdgeList":
         """Build from arbitrary endpoint arrays (no self loops allowed).
 
         Duplicate edges — in either orientation — are accumulated into a
-        single triple when ``accumulate`` is true, mirroring the paper's
-        "accumulate repeated edges by adding their weights".
+        single triple, mirroring the paper's "accumulate repeated edges by
+        adding their weights"; each duplicate group sums left to right in
+        input order.
         """
         i = np.asarray(i, dtype=VERTEX_DTYPE)
         j = np.asarray(j, dtype=VERTEX_DTYPE)
@@ -135,19 +188,10 @@ class EdgeList:
             )
 
         first, second = parity_canonical(i, j)
-        # Group by (first, second): lexsort makes duplicates adjacent and
-        # simultaneously produces the bucket grouping by first endpoint.
-        order = np.lexsort((second, first))
-        first = first[order]
-        second = second[order]
-        w = w[order]
-
-        if accumulate and len(first):
-            starts = segment_starts(first * np.int64(n_vertices) + second)
-            w = np.add.reduceat(w, starts)
-            first = first[starts]
-            second = second[starts]
-
+        # Grouping by (first, second) also yields the bucket grouping by
+        # first endpoint.
+        first, second, inverse = group_pairs(first, second, n_vertices)
+        w = np.bincount(inverse, weights=w, minlength=len(first))
         return cls._from_grouped(first, second, w, n_vertices)
 
     @classmethod

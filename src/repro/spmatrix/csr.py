@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.arrays import segment_starts
+from repro.graph.edgelist import group_pairs
 
 __all__ = ["CSRMatrix", "spgemm"]
 
@@ -40,7 +40,11 @@ class CSRMatrix:
         vals: np.ndarray,
         shape: tuple[int, int],
     ) -> "CSRMatrix":
-        """Build from COO triplets, accumulating duplicates."""
+        """Build from COO triplets, accumulating duplicates.
+
+        Each duplicate ``(row, col)`` group sums left to right in input
+        order.
+        """
         n_rows, n_cols = shape
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -55,13 +59,8 @@ class CSRMatrix:
         ):
             raise ValueError("triplet index out of range")
 
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if len(rows):
-            starts = segment_starts(rows * np.int64(n_cols) + cols)
-            vals = np.add.reduceat(vals, starts)
-            rows = rows[starts]
-            cols = cols[starts]
+        rows, cols, inverse = group_pairs(rows, cols, n_cols)
+        vals = np.bincount(inverse, weights=vals, minlength=len(rows))
         counts = np.bincount(rows, minlength=n_rows)
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

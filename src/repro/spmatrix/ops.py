@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.edgelist import EdgeList, parity_canonical
+from repro.graph.edgelist import EdgeList, group_pairs, parity_canonical
 from repro.graph.graph import CommunityGraph
 from repro.spmatrix.csr import CSRMatrix, spgemm
 from repro.types import VERTEX_DTYPE
-from repro.util.arrays import segment_starts
 
 __all__ = [
     "adjacency_matrix",
@@ -95,14 +94,8 @@ def contract_via_spgemm(
     first, second = parity_canonical(
         rows[off].astype(VERTEX_DTYPE), cols[off].astype(VERTEX_DTYPE)
     )
-    w = vals[off]
-    order = np.lexsort((second, first))
-    first, second, w = first[order], second[order], w[order]
-    if len(first):
-        starts = segment_starts(first * np.int64(k) + second)
-        w = np.add.reduceat(w, starts)
-        first = first[starts]
-        second = second[starts]
+    first, second, inverse = group_pairs(first, second, k)
+    w = np.bincount(inverse, weights=vals[off], minlength=len(first))
     edges = EdgeList._from_grouped(first, second, w, k)
     return CommunityGraph(edges, new_self)
 

@@ -50,6 +50,21 @@ class TestFromEdges:
         g = from_edges(i, j, w)
         assert g.total_weight() == pytest.approx(w.sum())
 
+    def test_duplicates_sum_left_to_right(self):
+        # 40 float copies of one pair, in both orientations: the stored
+        # weight is Python's sequential sum in input order, bit for bit
+        # (a pairwise reduction rounds differently).
+        rng = np.random.default_rng(0)
+        w = rng.random(40) * 10.0
+        i = np.where(np.arange(40) % 2 == 0, 3, 8)
+        j = np.where(np.arange(40) % 2 == 0, 8, 3)
+        expected = 0.0
+        for x in w.tolist():
+            expected += x
+        g = from_edges(i, j, w)
+        assert g.n_edges == 1
+        assert g.edges.w[0] == expected
+
 
 class TestNetworkX:
     def test_roundtrip(self, karate):

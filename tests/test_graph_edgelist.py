@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvariantViolation
-from repro.graph.edgelist import EdgeList, parity_canonical
+from repro.graph.edgelist import EdgeList, group_pairs, parity_canonical
 from repro.types import VERTEX_DTYPE
 
 
@@ -63,17 +63,6 @@ class TestFromRaw:
         assert e.w[0] == 6.0
         e.validate()
 
-    def test_no_accumulate_keeps_duplicates_invalid(self):
-        e = EdgeList.from_raw(
-            np.array([0, 1]),
-            np.array([1, 0]),
-            None,
-            n_vertices=2,
-            accumulate=False,
-        )
-        with pytest.raises(InvariantViolation):
-            e.validate()
-
     def test_rejects_self_loops(self):
         with pytest.raises(ValueError, match="self loop"):
             EdgeList.from_raw(np.array([1]), np.array([1]), None, n_vertices=2)
@@ -103,6 +92,45 @@ class TestFromRaw:
     def test_unit_weights_default(self):
         e = EdgeList.from_raw(np.array([0, 2]), np.array([1, 3]), None, 4)
         np.testing.assert_array_equal(e.w, [1.0, 1.0])
+
+
+class TestGroupPairs:
+    def test_distinct_pairs_sorted_with_inverse(self):
+        first = np.array([2, 0, 2, 1, 0, 2])
+        second = np.array([1, 3, 1, 0, 3, 0])
+        f, s, inverse = group_pairs(first, second, 4)
+        np.testing.assert_array_equal(f, [0, 1, 2, 2])
+        np.testing.assert_array_equal(s, [3, 0, 0, 1])
+        np.testing.assert_array_equal(inverse, [3, 0, 3, 1, 0, 2])
+        assert f.dtype == s.dtype == VERTEX_DTYPE
+
+    def test_matches_unique_on_random_pairs(self):
+        rng = np.random.default_rng(5)
+        first = rng.integers(0, 30, 500)
+        second = rng.integers(0, 30, 500)
+        f, s, inverse = group_pairs(first, second, 30)
+        uniq, inv = np.unique(first * 30 + second, return_inverse=True)
+        np.testing.assert_array_equal(f * 30 + s, uniq)
+        np.testing.assert_array_equal(inverse, inv)
+
+    def test_empty(self):
+        f, s, inverse = group_pairs(np.empty(0, int), np.empty(0, int), 5)
+        assert len(f) == len(s) == len(inverse) == 0
+
+    def test_width_at_int64_bound_works(self):
+        width = 3_037_000_499
+        f, s, inverse = group_pairs(
+            np.array([width - 1, 0, width - 1]),
+            np.array([width - 1, 1, width - 1]),
+            width,
+        )
+        np.testing.assert_array_equal(f, [0, width - 1])
+        np.testing.assert_array_equal(s, [1, width - 1])
+        np.testing.assert_array_equal(inverse, [1, 0, 1])
+
+    def test_width_past_int64_bound_raises(self):
+        with pytest.raises(OverflowError, match="3037000500.*3037000499"):
+            group_pairs(np.array([0]), np.array([1]), 3_037_000_500)
 
 
 class TestBuckets:

@@ -14,9 +14,11 @@ from repro.core import (
     ConductanceScorer,
     ModularityScorer,
     contract,
+    contract_hash_chains,
     match_full_sweep,
     match_locally_dominant,
 )
+from repro.core.outofcore import contract_sharded
 from repro.generators import planted_partition_graph
 from repro.graph import from_edges
 from repro.metrics import Partition, coverage, modularity
@@ -170,10 +172,37 @@ class TestContractionDifferential:
         np.testing.assert_array_equal(map_fast, map_slow)
         np.testing.assert_array_equal(fast.edges.ei, slow.edges.ei)
         np.testing.assert_array_equal(fast.edges.ej, slow.edges.ej)
-        np.testing.assert_allclose(fast.edges.w, slow.edges.w, atol=1e-12)
-        np.testing.assert_allclose(
-            fast.self_weights, slow.self_weights, atol=1e-12
+        # Both sides sum each duplicate group left to right in edge
+        # order, so float weights agree bit for bit.
+        np.testing.assert_array_equal(fast.edges.w, slow.edges.w)
+        np.testing.assert_array_equal(fast.self_weights, slow.self_weights)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_all_contractors_bit_identical_over_levels(self, seed):
+        # Float weights with many parallel edges: every contractor must
+        # reproduce the reference's sequential sums exactly, level after
+        # level.
+        rng = np.random.default_rng(seed)
+        n, m = 300, 3000
+        g = from_edges(
+            rng.integers(0, n, m),
+            rng.integers(0, n, m),
+            rng.random(m) * 7.0 + 0.1,
+            n_vertices=n,
         )
+        for _ in range(4):
+            matching = match_locally_dominant(g, ModularityScorer().score(g))
+            ref, ref_map = contract_ref(g, matching)
+            for kernel in (contract, contract_hash_chains, contract_sharded):
+                got, got_map = kernel(g, matching)
+                np.testing.assert_array_equal(got_map, ref_map)
+                np.testing.assert_array_equal(got.edges.ei, ref.edges.ei)
+                np.testing.assert_array_equal(got.edges.ej, ref.edges.ej)
+                np.testing.assert_array_equal(got.edges.w, ref.edges.w)
+                np.testing.assert_array_equal(
+                    got.self_weights, ref.self_weights
+                )
+            g = ref
 
 
 class TestMetricsDifferential:
