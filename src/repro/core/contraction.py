@@ -22,6 +22,12 @@ Both return ``(new_graph, mapping)`` where ``mapping[old_vertex]`` is the
 new community id; matched pairs collapse onto one id, everything else
 carries over.  The total-weight invariant (cross + self = constant) holds
 by construction and is checked property-style in the tests.
+
+Both methods contract a spilled graph (one carrying a
+:class:`~repro.graph.csr.ShardedCSRStore`) out of core: the relabel reads
+one shard window at a time and its kept edges land in spill-backed
+scratch, with output bit-identical to the in-memory run (see
+``docs/OUT_OF_CORE.md``).
 """
 
 from __future__ import annotations
@@ -29,11 +35,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.matching import MatchingResult
+from repro.graph.csr import _ranges_of, _Scratch
 from repro.graph.edgelist import EdgeList, group_pairs, parity_canonical
 from repro.graph.graph import CommunityGraph
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import KernelRecord, TraceRecorder
-from repro.types import NO_VERTEX, VERTEX_DTYPE
+from repro.types import NO_VERTEX, VERTEX_DTYPE, WEIGHT_DTYPE
 from repro.util.arrays import renumber_dense, segment_starts
 
 __all__ = ["contract", "contract_hash_chains"]
@@ -61,6 +68,15 @@ def _build_contracted(
 ) -> CommunityGraph:
     """Shared relabel + accumulate path (both methods produce this).
 
+    The relabel streams the graph's edge windows (:func:`_ranges_of`): a
+    spilled graph's shards, whose kept edges collect in spill-backed
+    scratch, or one window over an in-memory graph, whose kept edges are
+    used as they are.  Self-loop weight accumulates with ``np.add.at`` in
+    edge order whatever the windows, and the kept edges then go through
+    one global pair grouping and a ``np.bincount`` that sums each
+    duplicate group left to right in edge order, so the float sums do not
+    depend on the shard count.
+
     When a tracer is attached, each stage of the bucket-sort pipeline
     gets its own span (§IV-C's relabel → bucket/sort → accumulate) and
     the distribution of bucket sizes (edges per first endpoint) lands in
@@ -68,39 +84,66 @@ def _build_contracted(
     """
     tr = as_tracer(tracer)
     e = graph.edges
-
-    with tr.span("contract_relabel") as sp:
-        ni = mapping[e.ei]
-        nj = mapping[e.ej]
-
-        # Edges inside a merged pair become self weight.
-        loops = ni == nj
-        new_self = np.bincount(
-            mapping, weights=graph.self_weights, minlength=k
-        )
-        if loops.any():
-            new_self += np.bincount(ni[loops], weights=e.w[loops], minlength=k)
-
-        keep = ~loops
-        first, second = parity_canonical(ni[keep], nj[keep])
-        w = e.w[keep]
-        sp.set(items=e.n_edges, n_loops=int(np.count_nonzero(loops)))
-        del ni, nj, loops, keep
-
-    with tr.span("contract_bucket_sort") as sp:
-        if tr.enabled and len(first):
-            occupancy = np.bincount(first, minlength=k)
-            tr.histogram("contract.bucket_occupancy").observe_many(
-                occupancy[occupancy > 0]
+    m = e.n_edges
+    ranges = _ranges_of(graph)
+    scratch = _Scratch(graph, "contract") if len(ranges) > 1 else None
+    try:
+        with tr.span("contract_relabel") as sp:
+            new_self = np.bincount(
+                mapping, weights=graph.self_weights, minlength=k
             )
-        first, second, inverse = group_pairs(first, second, k)
-        sp.set(items=len(inverse))
+            loop_self = np.zeros(k)
+            n_loops = 0
+            n_keep = 0
+            if scratch is not None:
+                kept_first = scratch.array("kept_first", VERTEX_DTYPE, (m,))
+                kept_second = scratch.array("kept_second", VERTEX_DTYPE, (m,))
+                kept_w = scratch.array("kept_w", WEIGHT_DTYPE, (m,))
+            for lo, hi in ranges:
+                ni = mapping[e.ei[lo:hi]]
+                nj = mapping[e.ej[lo:hi]]
+                w = e.w[lo:hi]
+                # Edges inside a merged pair become self weight.
+                loops = ni == nj
+                c_loops = int(np.count_nonzero(loops))
+                if c_loops:
+                    np.add.at(loop_self, ni[loops], w[loops])
+                    n_loops += c_loops
+                keep = ~loops
+                first, second = parity_canonical(ni[keep], nj[keep])
+                w = w[keep]
+                del ni, nj, loops, keep
+                if scratch is not None:
+                    c_keep = len(first)
+                    kept_first[n_keep : n_keep + c_keep] = first
+                    kept_second[n_keep : n_keep + c_keep] = second
+                    kept_w[n_keep : n_keep + c_keep] = w
+                    n_keep += c_keep
+            if scratch is not None:
+                first = kept_first[:n_keep]
+                second = kept_second[:n_keep]
+                w = kept_w[:n_keep]
+            if n_loops:
+                new_self += loop_self
+            sp.set(items=m, n_loops=n_loops)
 
-    with tr.span("contract_accumulate") as sp:
-        w = np.bincount(inverse, weights=w, minlength=len(first))
-        del inverse
-        edges = EdgeList._from_grouped(first, second, w, k)
-        sp.set(items=len(first))
+        with tr.span("contract_bucket_sort") as sp:
+            if tr.enabled and len(first):
+                occupancy = np.bincount(first, minlength=k)
+                tr.histogram("contract.bucket_occupancy").observe_many(
+                    occupancy[occupancy > 0]
+                )
+            first, second, inverse = group_pairs(first, second, k)
+            sp.set(items=len(inverse))
+
+        with tr.span("contract_accumulate") as sp:
+            w = np.bincount(inverse, weights=w, minlength=len(first))
+            del inverse
+            edges = EdgeList._from_grouped(first, second, w, k)
+            sp.set(items=len(first))
+    finally:
+        if scratch is not None:
+            scratch.cleanup()
     return CommunityGraph(edges, new_self.astype(np.float64, copy=False))
 
 

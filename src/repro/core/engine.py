@@ -24,7 +24,10 @@ Any phase can request chunked parallel execution from
 the modularity scorer uses it to score each level on the supervised
 worker pool when the backend provides parallelism.  Backend choice
 never changes results — kernels are deterministic and chunk writes are
-disjoint — only the execution profile.
+disjoint — only the execution profile.  Out-of-core execution is a
+property of the graph, not of a kernel name: a sharded backend's
+``prepare_level`` spills each level's graph, and every phase kernel
+streams a spilled graph's shard windows by itself (docs/OUT_OF_CORE.md).
 
 :func:`repro.core.agglomeration.detect_communities` is a thin
 compatibility wrapper over this engine; see docs/ARCHITECTURE.md for
@@ -40,13 +43,8 @@ import numpy as np
 
 from repro.core.dendrogram import Dendrogram
 from repro.core.matching import MatchingResult
-from repro.core.outofcore import (
-    contract_sharded,
-    match_gmm_capped,
-    score_sharded,
-)
 from repro.core.registry import create_kernel
-from repro.core.scoring import EdgeScorer, validate_scores
+from repro.core.scoring import EdgeScorer, score_edges, validate_scores
 from repro.core.termination import TerminationCriteria
 from repro.errors import CheckpointError, RunAbortedError
 from repro.graph.edgelist import EdgeList
@@ -267,20 +265,6 @@ class RunContext:
 
 
 # ----------------------------------------------------------------- kernels
-def _streams_shards(ctx: "RunContext", graph: CommunityGraph) -> bool:
-    """True when this phase should stream the graph shard-at-a-time.
-
-    Requires both halves: a backend advertising the ``sharded``
-    capability (so the run *asked* for out-of-core execution — directly
-    or via the guardian's spill rung) and a graph actually carrying a
-    spill store (so the shard table exists).  Either alone falls back to
-    the ordinary in-memory path.
-    """
-    return bool(getattr(ctx.backend, "sharded", False)) and (
-        getattr(graph, "spill_store", None) is not None
-    )
-
-
 @runtime_checkable
 class PhaseKernel(Protocol):
     """One pipeline phase, executable against a :class:`RunContext`.
@@ -307,7 +291,9 @@ class ScoreKernel:
     here, once, instead of re-validating every scorer every level.
     When the scorer offers backend execution (``score_with_backend``)
     and the context's backend provides parallelism, scoring runs
-    chunked on that backend with recovery accounted to the run.
+    chunked on that backend with recovery accounted to the run;
+    otherwise :func:`~repro.core.scoring.score_edges` runs it (streaming
+    a spilled graph window by window).
     """
 
     kind = "scorer"
@@ -320,14 +306,6 @@ class ScoreKernel:
     def run(
         self, ctx: RunContext, graph: CommunityGraph, **inputs: Any
     ) -> np.ndarray:
-        if _streams_shards(ctx, graph) and hasattr(self.scorer, "score_range"):
-            # Streamed windowed scoring: bit-identical to ``score`` (the
-            # formulas are elementwise), validated window-by-window, and
-            # the output lands in a scratch memmap instead of anonymous
-            # memory.
-            return score_sharded(
-                self.scorer, graph, ctx.recorder, tracer=ctx.tracer
-            )
         backend_score = getattr(self.scorer, "score_with_backend", None)
         if backend_score is not None and ctx.backend.n_workers > 1:
             scores = backend_score(
@@ -338,7 +316,9 @@ class ScoreKernel:
                 report=ctx.recovery,
             )
         else:
-            scores = self.scorer.score(graph, ctx.recorder)
+            scores = score_edges(
+                self.scorer, graph, ctx.recorder, tracer=ctx.tracer
+            )
         if self._needs_validation:
             scores = validate_scores(scores, scorer=self.name)
         return scores
@@ -363,16 +343,6 @@ class MatchKernel:
         scores: np.ndarray,
         **inputs: Any,
     ) -> MatchingResult:
-        if _streams_shards(ctx, graph) and self.name == "worklist":
-            # The cap-respecting streamed matcher is bit-identical to
-            # the worklist matcher (same matching, passes and failed-claim
-            # counts; it scans every live edge each pass), so substituting
-            # it keeps every level statistic while bounding the anonymous
-            # working set to O(V + shard).  Other matchers run as
-            # configured, on the memmap-backed graph.
-            return match_gmm_capped(
-                graph, scores, ctx.recorder, tracer=ctx.tracer
-            )
         return self.fn(graph, scores, ctx.recorder, tracer=ctx.tracer)
 
 
@@ -393,13 +363,6 @@ class ContractKernel:
         matching: MatchingResult,
         **inputs: Any,
     ) -> tuple[CommunityGraph, np.ndarray]:
-        if _streams_shards(ctx, graph) and self.name == "bucket":
-            # Spill-backed bucket-sort contraction — bit-identical to
-            # ``bucket`` (same edges, weights and recorder profile) with
-            # the kept/sorted edge arrays in scratch memmaps.
-            return contract_sharded(
-                graph, matching, ctx.recorder, tracer=ctx.tracer
-            )
         return self.fn(graph, matching, ctx.recorder, tracer=ctx.tracer)
 
 

@@ -28,6 +28,11 @@ Two implementations of the same locally-dominant matching:
   atomic updates against its endpoints' slots, so a high-degree vertex
   absorbs its whole degree in atomics each sweep.
 
+On a spilled graph (one carrying a
+:class:`~repro.graph.csr.ShardedCSRStore`) both run their vectorized
+passes shard window by shard window (:func:`_streamed_passes`), with
+the same output.
+
 Both return a maximal matching over positive-scored edges whose total
 score is within a factor of two of the maximum (Preis; Hoepman;
 Manne–Bisseling) — property-tested in the suite.
@@ -45,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConvergenceError
+from repro.graph.csr import _ranges_of, _Scratch
 from repro.graph.edgelist import EdgeList
 from repro.graph.graph import CommunityGraph
 from repro.obs.trace import NullTracer, Tracer, as_tracer
@@ -138,8 +144,14 @@ def _worklist_record(
     Collisions only occur when several proposers target the same partner
     slot; ``partners`` holds each proposer's proposed partner.
     """
-    n_prop = len(partners)
-    colliding = n_prop - len(np.unique(partners))
+    return _claim_record(items, len(partners), len(np.unique(partners)), n_new)
+
+
+def _claim_record(
+    items: int, n_prop: int, n_distinct: int, n_new: int
+) -> KernelRecord:
+    """A worklist pass from its proposal count and distinct partner slots."""
+    colliding = n_prop - n_distinct
     return KernelRecord(
         name="match_pass",
         items=max(items, 1),
@@ -147,6 +159,28 @@ def _worklist_record(
         atomics=2 * n_prop,
         locks=2 * n_new,
         contention=min(1.0, 0.5 * colliding / max(1, n_prop)),
+    )
+
+
+def _sweep_record(
+    items: int, n_live: int, n_distinct: int, n_new: int
+) -> KernelRecord:
+    """One legacy sweep pass over ``items`` candidate edges.
+
+    Every scanned live edge pounds both endpoint slots with atomic-max
+    updates: a high-degree vertex absorbs its whole degree in contended
+    traffic each sweep (§IV-B hot spots).  Every candidate edge pays a
+    cheap liveness test; only still-live edges do the scoring reads.
+    ``n_distinct`` counts the distinct live endpoints.
+    """
+    atomics = 2 * n_live
+    return KernelRecord(
+        name="match_pass",
+        items=max(items, 1),
+        mem_words=2 * items + 5 * n_live + 2 * n_new,
+        atomics=atomics,
+        locks=2 * n_new,
+        contention=min(1.0, 1.0 - n_distinct / max(1, atomics)),
     )
 
 
@@ -210,22 +244,9 @@ def _claim_pass(
 
     if recorder is not None:
         if legacy_sweep:
-            # Every scanned live edge pounds both endpoint slots with
-            # atomic-max updates: a high-degree vertex absorbs its whole
-            # degree in contended traffic each sweep (§IV-B hot spots).
-            # Every candidate edge pays a cheap liveness test; only
-            # still-live edges do the scoring reads.
-            atomics = 2 * len(live)
             distinct = len(np.unique(np.concatenate([u, v])))
             recorder.record(
-                KernelRecord(
-                    name="match_pass",
-                    items=max(scan_items, 1),
-                    mem_words=2 * scan_items + 5 * len(live) + 2 * n_new,
-                    atomics=atomics,
-                    locks=2 * n_new,
-                    contention=min(1.0, 1.0 - distinct / max(1, atomics)),
-                )
+                _sweep_record(scan_items, len(live), distinct, n_new)
             )
         else:
             partners = np.concatenate([v[chosen_u], u[chosen_v]])
@@ -404,6 +425,15 @@ def _run_passes(
     tracer: Tracer | NullTracer | None = None,
     max_passes: int | None = None,
 ) -> MatchingResult:
+    if getattr(graph, "spill_store", None) is not None:
+        return _streamed_passes(
+            graph,
+            scores,
+            recorder,
+            legacy_sweep=legacy_sweep,
+            tracer=tracer,
+            max_passes=max_passes,
+        )
     tr = as_tracer(tracer)
     worklist_gauge = tr.gauge("match.worklist_edges")
     e = graph.edges
@@ -480,6 +510,190 @@ def _run_passes(
             max_passes=max_passes,
         )
         total_failed += failed
+
+    matched = (
+        np.concatenate(matched_edges)
+        if matched_edges
+        else np.empty(0, dtype=np.int64)
+    )
+    matched.sort()
+    return MatchingResult(
+        partner=partner,
+        matched_edges=matched,
+        passes=passes,
+        failed_claims=total_failed,
+    )
+
+
+def _streamed_passes(
+    graph: CommunityGraph,
+    scores: np.ndarray,
+    recorder: TraceRecorder | None = None,
+    *,
+    legacy_sweep: bool = False,
+    tracer: Tracer | NullTracer | None = None,
+    max_passes: int | None = None,
+    shard_edges: int | None = None,
+) -> MatchingResult:
+    """The vectorized passes, streamed one edge window at a time.
+
+    What both matchers run on a spilled graph (one whose windows are its
+    shards; ``shard_edges`` imposes a cap on any graph).  It never holds
+    an edge-length anonymous array: the live edges are a byte mask in
+    spill-backed scratch, and each pass streams the windows four times —
+
+    1. per-vertex best score (``np.maximum.at``: exact, order-free);
+    2. per-vertex best-edge tie-break (``np.minimum.at`` over hashed
+       *global* edge priorities: exact, order-free);
+    3. two-sided claim resolution + partner updates;
+    4. live-mask filtering against the updated matched set.
+
+    Every pass therefore makes the same claims as the in-memory pass, so
+    the matching, pass count and failed claims are bit-identical, and so
+    are the spans and recorder profile of every vectorized pass.  It
+    does not switch to the worklist's cursor phase: each pass scans
+    every live edge.  In the style of the strongly-sublinear-memory MPC
+    matching of Ghaffari & Uitto (SNIPPETS.md): per-vertex aggregates
+    are the only global state.
+    """
+    tr = as_tracer(tracer)
+    worklist_gauge = tr.gauge("match.worklist_edges")
+    e = graph.edges
+    n = graph.n_vertices
+    m = e.n_edges
+    if len(scores) != m:
+        raise ValueError("scores length must equal edge count")
+    ranges = _ranges_of(graph, shard_edges)
+    scratch = _Scratch(graph, "match")
+
+    partner = np.full(n, NO_VERTEX, dtype=VERTEX_DTYPE)
+    unmatched = np.ones(n, dtype=bool)
+    live_mask = scratch.array("live_mask", np.bool_, (m,))
+    n_live = 0
+    for lo, hi in ranges:
+        chunk = scores[lo:hi] > 0.0
+        live_mask[lo:hi] = chunk
+        n_live += int(np.count_nonzero(chunk))
+    n_candidates = n_live
+
+    matched_edges: list[np.ndarray] = []
+    total_failed = 0
+    passes = 0
+    if max_passes is None:
+        max_passes = 2 * n + 4  # worst case one pair per pass
+    elif max_passes < 0:
+        raise ValueError("max_passes must be non-negative")
+
+    def live_windows():
+        for lo, hi in ranges:
+            idx = lo + np.flatnonzero(live_mask[lo:hi])
+            if len(idx):
+                yield idx
+
+    best = np.empty(n)
+    best_edge = np.empty(n, dtype=np.int64)
+    # Vertices a pass touches: the proposed partners (worklist profile)
+    # or every live endpoint (sweep profile).
+    touched = np.zeros(n, dtype=bool)
+    try:
+        # The sweep re-derives liveness at the top of each pass, so it
+        # ends on one more, empty pass than the worklist.
+        while n_live or (legacy_sweep and passes):
+            passes += 1
+            if passes > max_passes:
+                raise ConvergenceError("matching exceeded its pass budget")
+
+            with tr.span("match_pass", pass_index=passes) as pass_span:
+                scan_items = n_candidates if legacy_sweep else n_live
+                worklist_gauge.set(n_live)
+                pass_span.set(items=scan_items, live_edges=n_live)
+                if not n_live:
+                    break
+
+                # Pass 1: per-vertex best live score.
+                best.fill(-np.inf)
+                for idx in live_windows():
+                    s = scores[idx]
+                    np.maximum.at(best, e.ei[idx], s)
+                    np.maximum.at(best, e.ej[idx], s)
+
+                # Pass 2: min hashed priority among score-maximal edges.
+                best_edge.fill(_SENTINEL_EDGE)
+                for idx in live_windows():
+                    u = e.ei[idx]
+                    v = e.ej[idx]
+                    s = scores[idx]
+                    prio = _edge_priority(idx)
+                    at_u = s == best[u]
+                    at_v = s == best[v]
+                    np.minimum.at(best_edge, u[at_u], prio[at_u])
+                    np.minimum.at(best_edge, v[at_v], prio[at_v])
+
+                # Pass 3: two-sided claims.  Claim outcomes depend only
+                # on the pre-pass best/best_edge state, so applying
+                # partner updates window by window is safe.
+                n_new = 0
+                failed = 0
+                n_proposals = 0
+                if recorder is not None:
+                    touched.fill(False)
+                for idx in live_windows():
+                    u = e.ei[idx]
+                    v = e.ej[idx]
+                    prio = _edge_priority(idx)
+                    chosen_u = best_edge[u] == prio
+                    chosen_v = best_edge[v] == prio
+                    mutual = chosen_u & chosen_v
+                    n_new += int(np.count_nonzero(mutual))
+                    failed += int(
+                        np.count_nonzero((chosen_u | chosen_v) & ~mutual)
+                    )
+                    mu = u[mutual]
+                    mv = v[mutual]
+                    partner[mu] = mv
+                    partner[mv] = mu
+                    unmatched[mu] = False
+                    unmatched[mv] = False
+                    matched_edges.append(idx[mutual])
+                    if recorder is not None:
+                        if legacy_sweep:
+                            touched[u] = True
+                            touched[v] = True
+                        else:
+                            touched[v[chosen_u]] = True
+                            touched[u[chosen_v]] = True
+                            n_proposals += int(
+                                np.count_nonzero(chosen_u)
+                            ) + int(np.count_nonzero(chosen_v))
+                if n_new == 0:
+                    raise ConvergenceError(
+                        "no locally dominant edge found among live edges; "
+                        "scores may contain NaN"
+                    )
+                total_failed += failed
+                pass_span.set(matched=n_new, failed_claims=failed)
+
+                if recorder is not None:
+                    distinct = int(np.count_nonzero(touched))
+                    recorder.record(
+                        _sweep_record(scan_items, n_live, distinct, n_new)
+                        if legacy_sweep
+                        else _claim_record(
+                            scan_items, n_proposals, distinct, n_new
+                        )
+                    )
+
+                # Pass 4: drop edges that lost an endpoint this pass
+                # (after *all* of the pass's matches, like the in-memory
+                # filter).
+                n_live = 0
+                for idx in live_windows():
+                    keep = unmatched[e.ei[idx]] & unmatched[e.ej[idx]]
+                    live_mask[idx[~keep]] = False
+                    n_live += int(np.count_nonzero(keep))
+    finally:
+        del live_mask
+        scratch.cleanup()
 
     matched = (
         np.concatenate(matched_edges)

@@ -44,7 +44,6 @@ from typing import Callable, NamedTuple
 
 from repro.core.contraction import contract, contract_hash_chains
 from repro.core.matching import match_full_sweep, match_locally_dominant
-from repro.core.outofcore import contract_sharded, match_gmm_capped
 from repro.core.scoring import ConductanceScorer, ModularityScorer, WeightScorer
 
 __all__ = [
@@ -186,15 +185,6 @@ _register(
     lambda: match_full_sweep,
     "legacy full-sweep matching (§IV-B old)",
 )
-# The GMM-style cap-respecting matcher: bit-identical to worklist/sweep
-# but streams shard windows, never materialising an edge-length
-# anonymous array (the out-of-core / spill-rung matcher).
-_register(
-    "matcher",
-    "gmm",
-    lambda: match_gmm_capped,
-    "cap-respecting streamed matching (out-of-core twin)",
-)
 _register(
     "contractor",
     "bucket",
@@ -206,11 +196,4 @@ _register(
     "chains",
     lambda: contract_hash_chains,
     "legacy hash-of-linked-lists contraction (§IV-C old)",
-)
-# Spill-backed bucket-sort contraction for the out-of-core path.
-_register(
-    "contractor",
-    "shard",
-    lambda: contract_sharded,
-    "spill-backed bucket-sort contraction (out-of-core)",
 )

@@ -27,7 +27,9 @@ import numpy as np
 
 from repro.errors import ScoreValidationError
 from repro.graph.graph import CommunityGraph
+from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import KernelRecord, TraceRecorder
+from repro.spmatrix.spill import scratch_memmap
 from repro.types import SCORE_DTYPE
 
 __all__ = [
@@ -35,12 +37,13 @@ __all__ = [
     "ModularityScorer",
     "ConductanceScorer",
     "WeightScorer",
+    "score_edges",
     "validate_scores",
 ]
 
 
 def validate_scores(
-    scores: np.ndarray, *, scorer: str = "scorer"
+    scores: np.ndarray, *, scorer: str = "scorer", offset: int = 0
 ) -> np.ndarray:
     """Reject NaN/inf scorer output; returns ``scores`` unchanged when clean.
 
@@ -49,15 +52,18 @@ def validate_scores(
     starve the worklist), so non-finite output is a hard
     :class:`~repro.errors.ScoreValidationError` at the source.  The
     ``-inf`` veto the driver applies *after* scoring is exempt by
-    construction — it never passes through this check.
+    construction — it never passes through this check.  ``scores`` holds
+    edges ``[offset, offset + len(scores))``; the error names global edge
+    indices.
     """
     finite = np.isfinite(scores)
     if not finite.all():
         bad = int(len(scores) - np.count_nonzero(finite))
         first = int(np.argmin(finite))
         raise ScoreValidationError(
-            f"{scorer}: {bad} non-finite score(s) out of {len(scores)} "
-            f"(first at edge {first}: {scores[first]!r})"
+            f"{scorer}: {bad} non-finite score(s) in edges "
+            f"[{offset}, {offset + len(scores)}) "
+            f"(first at edge {offset + first}: {scores[first]!r})"
         )
     return scores
 
@@ -75,9 +81,9 @@ class EdgeScorer(Protocol):
     :meth:`ModularityScorer.score_with_backend`) to run chunked on a
     :class:`~repro.parallel.backends.ExecutionBackend`, and
     ``score_range(graph, lo, hi, *, vol, w_total)`` to score one edge
-    window for the out-of-core path (:mod:`repro.core.outofcore`) —
-    the per-edge formulas are elementwise, so a windowed evaluation is
-    bit-identical to the whole-array one.
+    window; :func:`score_edges` then streams a spilled graph window by
+    window — the per-edge formulas are elementwise, so a windowed
+    evaluation is bit-identical to the whole-array one.
     """
 
     name: str
@@ -109,25 +115,80 @@ def _record_scoring(
     )
 
 
-class ModularityScorer:
-    """ΔQ of merging an edge's endpoints: ``w/W - vol_i * vol_j / (2 W²)``."""
+def score_edges(
+    scorer,
+    graph: CommunityGraph,
+    recorder: TraceRecorder | None = None,
+    *,
+    tracer: Tracer | NullTracer | None = None,
+) -> np.ndarray:
+    """Score every edge of ``graph`` with ``scorer``'s windowed formula.
 
-    name = "modularity"
+    The one driver behind every built-in scorer: it computes the
+    whole-graph aggregates (``w_total``, ``vol``) once and evaluates
+    ``scorer.score_range`` — over one window ``[0, |E|)`` for an
+    in-memory graph, or shard window by shard window into ``scores.npy``
+    beside a spilled graph's store (a ``score_shards`` span), so a
+    spilled graph's scores are file-backed.  Each window is validated with
+    its global edge offset.  A zero-weight graph scores all zeros.
+    Scorers without ``score_range`` fall back to their own
+    :meth:`~EdgeScorer.score`.
+    """
+    if not hasattr(scorer, "score_range"):
+        return scorer.score(graph, recorder)
+    m = graph.n_edges
+    w_total = graph.total_weight()
+    vol = graph.strengths() if w_total else None
+
+    def window(lo: int, hi: int) -> np.ndarray:
+        if not w_total:
+            return np.zeros(hi - lo, dtype=SCORE_DTYPE)
+        return validate_scores(
+            scorer.score_range(graph, lo, hi, vol=vol, w_total=w_total),
+            scorer=scorer.name,
+            offset=lo,
+        )
+
+    store = getattr(graph, "spill_store", None)
+    if store is None:
+        scores = window(0, m)
+    else:
+        scores = scratch_memmap(
+            store.directory / "scores.npy", dtype=SCORE_DTYPE, shape=(m,)
+        )
+        with as_tracer(tracer).span(
+            "score_shards", n_shards=store.n_shards
+        ) as sp:
+            for lo, hi in store.shard_ranges:
+                scores[lo:hi] = window(lo, hi)
+            sp.set(items=m)
+    _record_scoring(recorder, graph, scorer.name)
+    return scores
+
+
+class _WindowedScorer:
+    """A built-in scorer: one windowed formula, run by :func:`score_edges`.
+
+    Subclasses define ``score_range(graph, lo, hi, *, vol, w_total)``:
+    the scores of edges ``[lo, hi)`` given the whole-graph aggregates
+    (``w_total`` nonzero; the driver owns the zero-weight case).  Output
+    is unvalidated; the driver validates each window.
+    """
+
+    name: str
     validates_output = True
 
     def score(
         self, graph: CommunityGraph, recorder: TraceRecorder | None = None
     ) -> np.ndarray:
-        w_total = graph.total_weight()
-        e = graph.edges
-        if w_total == 0:
-            return np.zeros(e.n_edges, dtype=SCORE_DTYPE)
-        vol = graph.strengths()
-        scores = e.w / w_total - vol[e.ei] * vol[e.ej] / (2.0 * w_total**2)
-        _record_scoring(recorder, graph, self.name)
-        return validate_scores(
-            scores.astype(SCORE_DTYPE, copy=False), scorer=self.name
-        )
+        """Score every edge of ``graph`` (see :func:`score_edges`)."""
+        return score_edges(self, graph, recorder)
+
+
+class ModularityScorer(_WindowedScorer):
+    """ΔQ of merging an edge's endpoints: ``w/W - vol_i * vol_j / (2 W²)``."""
+
+    name = "modularity"
 
     def score_range(
         self,
@@ -138,13 +199,6 @@ class ModularityScorer:
         vol: np.ndarray,
         w_total: float,
     ) -> np.ndarray:
-        """Score edges ``[lo, hi)`` — the same elementwise formula as
-        :meth:`score` over a slice, so the out-of-core path that stitches
-        these windows together reproduces :meth:`score` bit for bit.
-        ``vol``/``w_total`` are the precomputed whole-graph aggregates
-        (``w_total`` must be nonzero; the caller owns that special case).
-        Output is unvalidated; the streaming caller validates per window.
-        """
         e = graph.edges
         return (
             e.w[lo:hi] / w_total
@@ -180,7 +234,7 @@ class ModularityScorer:
         return scores
 
 
-class ConductanceScorer:
+class ConductanceScorer(_WindowedScorer):
     """Negated change in summed conductance when merging an edge's endpoints.
 
     For communities ``i, j`` with volumes ``vol`` and cuts
@@ -194,35 +248,6 @@ class ConductanceScorer:
     """
 
     name = "conductance"
-    validates_output = True
-
-    def score(
-        self, graph: CommunityGraph, recorder: TraceRecorder | None = None
-    ) -> np.ndarray:
-        w_total = graph.total_weight()
-        e = graph.edges
-        if w_total == 0:
-            return np.zeros(e.n_edges, dtype=SCORE_DTYPE)
-        two_w = 2.0 * w_total
-        vol = graph.strengths()
-        cut = vol - 2.0 * graph.self_weights
-
-        def phi(cut_c: np.ndarray, vol_c: np.ndarray) -> np.ndarray:
-            denom = np.minimum(vol_c, two_w - vol_c)
-            out = np.zeros_like(cut_c, dtype=SCORE_DTYPE)
-            np.divide(cut_c, denom, out=out, where=denom > 0)
-            return out
-
-        phi_i = phi(cut[e.ei], vol[e.ei])
-        phi_j = phi(cut[e.ej], vol[e.ej])
-        cut_merged = cut[e.ei] + cut[e.ej] - 2.0 * e.w
-        vol_merged = vol[e.ei] + vol[e.ej]
-        phi_merged = phi(cut_merged, vol_merged)
-        _record_scoring(recorder, graph, self.name)
-        return validate_scores(
-            (phi_i + phi_j - phi_merged).astype(SCORE_DTYPE, copy=False),
-            scorer=self.name,
-        )
 
     def score_range(
         self,
@@ -233,7 +258,6 @@ class ConductanceScorer:
         vol: np.ndarray,
         w_total: float,
     ) -> np.ndarray:
-        """Windowed :meth:`score` (see :meth:`ModularityScorer.score_range`)."""
         e = graph.edges
         two_w = 2.0 * w_total
         cut = vol - 2.0 * graph.self_weights
@@ -254,7 +278,7 @@ class ConductanceScorer:
         return (phi_i + phi_j - phi_merged).astype(SCORE_DTYPE, copy=False)
 
 
-class WeightScorer:
+class WeightScorer(_WindowedScorer):
     """Raw edge weight: turns the matcher into plain heavy-edge matching.
 
     Not a community metric — used for multilevel-partitioning-style
@@ -262,15 +286,6 @@ class WeightScorer:
     """
 
     name = "weight"
-    validates_output = True
-
-    def score(
-        self, graph: CommunityGraph, recorder: TraceRecorder | None = None
-    ) -> np.ndarray:
-        _record_scoring(recorder, graph, self.name)
-        return validate_scores(
-            graph.edges.w.astype(SCORE_DTYPE), scorer=self.name
-        )
 
     def score_range(
         self,
@@ -281,5 +296,4 @@ class WeightScorer:
         vol: np.ndarray,
         w_total: float,
     ) -> np.ndarray:
-        """Windowed :meth:`score` (see :meth:`ModularityScorer.score_range`)."""
         return graph.edges.w[lo:hi].astype(SCORE_DTYPE)

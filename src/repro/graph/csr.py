@@ -16,7 +16,10 @@ shard-at-a-time keeps its anonymous working set at ``O(V + shard)``
 while the file-backed pages stay evictable under memory pressure.
 Because the memmap-backed graph is *value-identical* to the in-memory
 one, every kernel — and every invariant audit — computes bit-identical
-results on it.
+results on it.  The phase kernels stream such a graph window by window
+(:func:`_ranges_of`) and keep their edge-length temporaries in
+spill-backed scratch (:class:`_Scratch`); on an ordinary graph the same
+code runs on one window.
 """
 
 from __future__ import annotations
@@ -33,7 +36,12 @@ import numpy as np
 from repro.errors import SpillError
 from repro.graph.edgelist import EdgeList
 from repro.graph.graph import CommunityGraph
-from repro.spmatrix.spill import read_spill, spill_nbytes, write_spill
+from repro.spmatrix.spill import (
+    read_spill,
+    scratch_memmap,
+    spill_nbytes,
+    write_spill,
+)
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 from repro.util.atomicio import atomic_write_text
 
@@ -278,8 +286,8 @@ class ShardedCSRStore:
 
         Value-identical to the graph that was spilled, so any kernel
         run on it produces bit-identical results; the returned graph
-        carries this store as its ``spill_store`` attribute so sharded
-        kernels can recover the shard table.
+        carries this store as its ``spill_store`` attribute, which makes
+        every phase kernel stream it shard window by shard window.
         """
         edges = EdgeList(
             ei=self._arrays["ei"],
@@ -317,3 +325,54 @@ def _shard_ranges(
     return [
         (lo, min(n_edges, lo + size)) for lo in range(0, n_edges, size)
     ] or ([(0, 0)] if n_edges == 0 else [])
+
+
+def _ranges_of(
+    graph: CommunityGraph, shard_edges: int | None = None
+) -> list[tuple[int, int]]:
+    """The edge windows a phase kernel streams ``graph`` by.
+
+    An explicit ``shard_edges`` cap wins; otherwise a spilled graph's
+    shard table, and ``[(0, n_edges)]`` — one window — for an in-memory
+    graph.
+    """
+    if shard_edges is not None:
+        return _shard_ranges(graph.n_edges, shard_edges=shard_edges)
+    store = getattr(graph, "spill_store", None)
+    if store is not None:
+        return store.shard_ranges
+    return [(0, graph.n_edges)]
+
+
+class _Scratch:
+    """Edge-order scratch arrays: spill-backed beside the store, else RAM.
+
+    Kernels ask for working buffers of edge length through this so that
+    a spilled graph's temporaries are file-backed (evictable) while the
+    same kernel stays usable on a plain in-memory graph.
+    """
+
+    def __init__(self, graph: CommunityGraph, tag: str) -> None:
+        store = getattr(graph, "spill_store", None)
+        self.directory: Path | None = (
+            store.directory / f"scratch-{tag}" if store is not None else None
+        )
+        if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        self._paths: list[Path] = []
+
+    def array(self, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
+        if self.directory is None:
+            return np.empty(shape, dtype=dtype)
+        path = self.directory / f"{name}.npy"
+        self._paths.append(path)
+        return scratch_memmap(path, dtype=dtype, shape=shape)
+
+    def cleanup(self) -> None:
+        for path in self._paths:
+            path.unlink(missing_ok=True)
+        if self.directory is not None:
+            try:
+                self.directory.rmdir()
+            except OSError:  # pragma: no cover - leftover foreign files
+                pass

@@ -187,24 +187,40 @@ def read_trace(
     With ``require_complete=True`` a file missing its ``end`` trailer —
     the signature of a truncated export — is rejected with
     :class:`~repro.errors.ReproError` instead of returned with
-    ``complete=False``.
+    ``complete=False``.  A record that is not valid JSON, or not a JSON
+    object, raises ``ReproError("<path>:<line>: …")`` naming its line in
+    the file (blank lines counted).
     """
     data = TraceData()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            lines = [
+                (lineno, ln)
+                for lineno, ln in enumerate(fh.read().splitlines(), 1)
+                if ln.strip()
+            ]
     except OSError as exc:
         raise ReproError(f"{path}: cannot read trace: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ReproError(f"{path}: not valid UTF-8: {exc}") from exc
     if not lines:
         raise ReproError(f"{path}: empty trace file")
-    try:
-        events = [json.loads(ln) for ln in lines]
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"{path}: not valid JSONL: {exc}") from exc
+    events = []
+    for lineno, ln in lines:
+        try:
+            ev = json.loads(ln)
+        except json.JSONDecodeError as exc:
+            raise ReproError(
+                f"{path}:{lineno}: not valid JSONL: {exc.msg} "
+                f"(column {exc.colno})"
+            ) from exc
+        if events and not isinstance(ev, dict):
+            raise ReproError(
+                f"{path}:{lineno}: trace record is not a JSON object"
+            )
+        events.append((lineno, ev))
 
-    header = events[0]
+    header = events[0][1]
     if (
         not isinstance(header, dict)
         or header.get("event") != "header"
@@ -231,7 +247,7 @@ def read_trace(
     data.version = header["version"]
 
     unknown_kinds: dict = {}
-    for ev in events[1:]:
+    for lineno, ev in events[1:]:
         kind = ev.get("event")
         try:
             if kind == "span":
@@ -295,7 +311,9 @@ def read_trace(
                 data.skipped_records += 1
                 unknown_kinds[str(kind)] = unknown_kinds.get(str(kind), 0) + 1
         except KeyError as exc:
-            raise ReproError(f"{path}: malformed {kind} event: {exc}") from exc
+            raise ReproError(
+                f"{path}:{lineno}: malformed {kind} event: {exc}"
+            ) from exc
     if unknown_kinds:
         detail = ", ".join(
             f"{kind} ×{n}" for kind, n in sorted(unknown_kinds.items())

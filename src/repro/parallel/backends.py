@@ -261,20 +261,19 @@ class ShardedBackend(SerialBackend):
     rechunks or retries keeps working); what makes it *sharded* is the
     capability surface the engine probes for:
 
-    * ``sharded = True`` — the engine routes the score/match/contract
-      phases through the streaming kernels in
-      :mod:`repro.core.outofcore` whenever the level's graph carries a
-      spill store.
+    * ``sharded = True`` — the engine hands each level's graph to
+      :meth:`prepare_level` before scoring.
     * :meth:`prepare_level` — called by the engine at the top of every
       level; spills the community graph under ``spill_dir/level_NNNNN``
       via :class:`~repro.graph.csr.ShardedCSRStore` and returns the
       value-identical memmap-backed graph.  The previous level's store is
       deleted once the new one is durable, so at most two levels of
-      spill exist at any instant.
+      spill exist at any instant.  Every phase kernel streams a graph
+      that carries a spill store shard window by shard window.
 
     Because the memmap-backed graph is value-identical to the in-memory
-    one and the streaming kernels are bit-identical to their in-memory
-    counterparts, a sharded run produces exactly the same dendrogram,
+    one and the streamed kernels are bit-identical to their one-window
+    runs, a sharded run produces exactly the same dendrogram,
     level statistics and recorder profile as a serial run — only the
     residency of the working set changes (file-backed pages the OS can
     evict instead of anonymous memory it cannot).
@@ -286,7 +285,7 @@ class ShardedBackend(SerialBackend):
     """
 
     name = "sharded"
-    #: Capability flag the engine checks to route phases out-of-core.
+    #: Capability flag: the engine spills each level via prepare_level.
     sharded = True
 
     def __init__(

@@ -80,12 +80,8 @@ class TestRunShootout:
     def test_default_pools_are_the_registry(self):
         # No kernel pool args: the sweep covers every registered kernel
         # (checked without running — the cells come from kernel_names).
-        assert set(kernel_names("matcher")) == {"worklist", "sweep", "gmm"}
-        assert set(kernel_names("contractor")) == {
-            "bucket",
-            "chains",
-            "shard",
-        }
+        assert set(kernel_names("matcher")) == {"worklist", "sweep"}
+        assert set(kernel_names("contractor")) == {"bucket", "chains"}
 
 
 class TestMain:

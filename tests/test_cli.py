@@ -479,6 +479,19 @@ class TestReport:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_trace_record_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"event": "header", "schema": "repro-run-trace", "version": 1}'
+            "\n\n3\n"
+        )
+        rc = main(["report", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"{bad}:3: trace record is not a JSON object" in err
+        assert "Traceback" not in err
+
 
 class TestTrend:
     @pytest.fixture()
@@ -535,8 +548,10 @@ class TestKernels:
         out = capsys.readouterr().out
         for kind in ("scorer", "matcher", "contractor"):
             assert kind in out
-        for name in ("worklist", "sweep", "gmm", "bucket", "shard"):
+        for name in ("worklist", "sweep", "bucket", "chains"):
             assert name in out
+        for name in ("gmm", "shard"):
+            assert name not in out
         assert "description" in out
 
     def test_kind_filter(self, capsys):

@@ -10,6 +10,8 @@ RMAT and planted-partition (SBM) workloads across every
 matcher × contractor × scorer combination.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,15 @@ from repro.core import (
     TerminationCriteria,
     detect_communities,
 )
+from repro.core.matching import _streamed_passes
 from repro.generators import planted_partition_graph, rmat_graph
+from repro.graph.csr import ShardedCSRStore
 from repro.parallel.backends import (
     ProcessPoolBackend,
     SerialBackend,
     ShardedBackend,
 )
+from repro.platform.kernels import TraceRecorder
 
 MATCHERS = ["worklist", "sweep"]
 CONTRACTORS = ["bucket", "chains"]
@@ -128,28 +133,48 @@ class TestShardedParity:
         backend.release()
         assert_runs_identical(base, sharded)
 
+    @pytest.mark.parametrize("contractor", CONTRACTORS)
+    @pytest.mark.parametrize("matcher", MATCHERS)
+    @pytest.mark.parametrize("scorer", SCORERS)
     @pytest.mark.parametrize("n_shards", [1, 2, 16])
-    def test_shard_count_never_changes_results(self, sbm, n_shards, tmp_path):
-        base = detect_communities(sbm)
+    def test_shard_count_never_changes_results(
+        self, sbm, n_shards, scorer, matcher, contractor, tmp_path
+    ):
+        kernels = dict(matcher=matcher, contractor=contractor)
+        base_rec = TraceRecorder()
+        base = detect_communities(sbm, scorer, recorder=base_rec, **kernels)
         backend = ShardedBackend(spill_dir=tmp_path, n_shards=n_shards)
-        sharded = detect_communities(sbm, backend=backend)
+        sharded_rec = TraceRecorder()
+        sharded = detect_communities(
+            sbm, scorer, backend=backend, recorder=sharded_rec, **kernels
+        )
+        assert backend.spilled_levels > 0, "run must actually spill"
         backend.release()
         assert_runs_identical(base, sharded)
+        assert sharded_rec.records == base_rec.records
 
     def test_sharded_backend_by_name(self, sbm):
         base = detect_communities(sbm)
         named = detect_communities(sbm, backend="sharded")
         assert_runs_identical(base, named)
 
-    def test_gmm_matcher_matches_worklist(self, sbm):
+    def test_streamed_matcher_matches_worklist(self, sbm):
         base = detect_communities(sbm, matcher="worklist")
-        gmm = detect_communities(sbm, matcher="gmm")
-        assert_runs_identical(base, gmm)
+        streamed = detect_communities(
+            sbm, matcher=partial(_streamed_passes, shard_edges=256)
+        )
+        assert_runs_identical(base, streamed)
 
-    def test_shard_contractor_matches_bucket(self, sbm):
-        base = detect_communities(sbm, contractor="bucket")
-        shard = detect_communities(sbm, contractor="shard")
-        assert_runs_identical(base, shard)
+    def test_spilled_input_streams_without_sharded_backend(
+        self, sbm, tmp_path
+    ):
+        # Out-of-core is a property of the graph: a spilled level-0 graph
+        # streams on the serial backend too (later levels run in memory).
+        base = detect_communities(sbm)
+        store = ShardedCSRStore.spill(sbm, tmp_path / "g", n_shards=16)
+        spilled = detect_communities(store.as_graph())
+        store.cleanup()
+        assert_runs_identical(base, spilled)
 
     def test_keeps_at_most_two_level_stores(self, sbm, tmp_path):
         backend = ShardedBackend(spill_dir=tmp_path)

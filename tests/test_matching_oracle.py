@@ -11,12 +11,34 @@ import numpy as np
 import pytest
 
 from repro.core import create_kernel, is_maximal_matching
+from repro.core.matching import _streamed_passes
 from repro.generators import planted_partition_graph, rmat_graph
 from repro.graph import from_edges
 from repro.reference import greedy_matching_ref
 from repro.reference.greedy_matching import edge_priority_ref
 
-MATCHERS = ["worklist", "sweep", "gmm"]
+
+def streamed(legacy_sweep):
+    """The pass loop both matchers run on a spilled graph, as a callable
+    over eight edge windows (the default shard count)."""
+
+    def match(graph, scores):
+        return _streamed_passes(
+            graph,
+            scores,
+            legacy_sweep=legacy_sweep,
+            shard_edges=max(1, -(-graph.n_edges // 8)),
+        )
+
+    return match
+
+
+MATCHERS = {
+    "worklist": create_kernel("matcher", "worklist"),
+    "sweep": create_kernel("matcher", "sweep"),
+    "streamed": streamed(legacy_sweep=False),
+    "streamed-sweep": streamed(legacy_sweep=True),
+}
 SCORINGS = ["modularity", "weight", "equal"]
 
 
@@ -86,12 +108,12 @@ class TestOraclePriority:
 
 class TestMatchersEqualGreedyOracle:
     @pytest.mark.parametrize("scoring", SCORINGS)
-    @pytest.mark.parametrize("matcher", MATCHERS)
+    @pytest.mark.parametrize("matcher", sorted(MATCHERS))
     def test_edge_set_equals_oracle(self, family, matcher, scoring):
         name, graph = family
         scores = scores_for(graph, scoring)
         expected = greedy_matching_ref(graph, scores)
-        result = create_kernel("matcher", matcher)(graph, scores)
+        result = MATCHERS[matcher](graph, scores)
         np.testing.assert_array_equal(
             np.sort(result.matched_edges), expected, err_msg=name
         )

@@ -148,6 +148,36 @@ class TestReadErrors:
         with pytest.raises(ReproError, match="not valid JSONL"):
             read_trace(p)
 
+    def test_bad_record_names_its_file_line(self, tmp_path):
+        # Blank lines count: the broken record sits on file line 4.
+        p = tmp_path / "t.jsonl"
+        p.write_text(
+            json.dumps(
+                {"event": "header", "schema": "repro-run-trace", "version": 1}
+            )
+            + "\n\n"
+            + json.dumps({"event": "counter", "name": "c", "value": 1})
+            + "\n{\"event\": \n"
+        )
+        with pytest.raises(ReproError, match=r"t\.jsonl:4: not valid JSONL"):
+            read_trace(p)
+
+    @pytest.mark.parametrize("record", ["3", "[1, 2]", '"span"', "null"])
+    def test_non_object_record_is_a_typed_error(self, tmp_path, record):
+        p = tmp_path / "t.jsonl"
+        p.write_text(
+            json.dumps(
+                {"event": "header", "schema": "repro-run-trace", "version": 1}
+            )
+            + "\n\n"
+            + record
+            + "\n"
+        )
+        with pytest.raises(
+            ReproError, match=r"t\.jsonl:3: trace record is not a JSON object"
+        ):
+            read_trace(p)
+
     def test_wrong_schema(self, tmp_path):
         p = tmp_path / "t.jsonl"
         p.write_text(json.dumps({"event": "header", "schema": "other"}) + "\n")

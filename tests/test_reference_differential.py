@@ -18,9 +18,9 @@ from repro.core import (
     match_full_sweep,
     match_locally_dominant,
 )
-from repro.core.outofcore import contract_sharded
 from repro.generators import planted_partition_graph
 from repro.graph import from_edges
+from repro.graph.csr import ShardedCSRStore
 from repro.metrics import Partition, coverage, modularity
 from repro.obs import Tracer
 from repro.reference import (
@@ -178,10 +178,11 @@ class TestContractionDifferential:
         np.testing.assert_array_equal(fast.self_weights, slow.self_weights)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_all_contractors_bit_identical_over_levels(self, seed):
+    def test_all_contractors_bit_identical_over_levels(self, seed, tmp_path):
         # Float weights with many parallel edges: every contractor must
         # reproduce the reference's sequential sums exactly, level after
-        # level.
+        # level, in memory and on the graph spilled into 8 windows (whose
+        # duplicate groups straddle window boundaries).
         rng = np.random.default_rng(seed)
         n, m = 300, 3000
         g = from_edges(
@@ -190,11 +191,19 @@ class TestContractionDifferential:
             rng.random(m) * 7.0 + 0.1,
             n_vertices=n,
         )
-        for _ in range(4):
+        for level in range(4):
             matching = match_locally_dominant(g, ModularityScorer().score(g))
             ref, ref_map = contract_ref(g, matching)
-            for kernel in (contract, contract_hash_chains, contract_sharded):
-                got, got_map = kernel(g, matching)
+            spilled = ShardedCSRStore.spill(
+                g, tmp_path / f"level{level}", n_shards=8
+            ).as_graph()
+            for kernel, graph in (
+                (contract, g),
+                (contract_hash_chains, g),
+                (contract, spilled),
+                (contract_hash_chains, spilled),
+            ):
+                got, got_map = kernel(graph, matching)
                 np.testing.assert_array_equal(got_map, ref_map)
                 np.testing.assert_array_equal(got.edges.ei, ref.edges.ei)
                 np.testing.assert_array_equal(got.edges.ej, ref.edges.ej)

@@ -11,6 +11,9 @@ from repro.errors import (
     InvariantViolation,
     ScoreValidationError,
 )
+from repro.generators import planted_partition_graph
+from repro.graph.csr import ShardedCSRStore
+from repro.parallel.backends import ShardedBackend
 
 
 class TestValidateScores:
@@ -55,6 +58,47 @@ class TestDriverScoreGuard:
 
         with pytest.raises(ScoreValidationError, match="broken"):
             detect_communities(karate, BrokenScorer())
+
+
+class _NaNAtEdge(ModularityScorer):
+    """Modularity scores with a NaN planted at one global edge index."""
+
+    validates_output = True
+
+    def __init__(self, edge):
+        self.edge = edge
+
+    def score_range(self, graph, lo, hi, *, vol, w_total):
+        chunk = super().score_range(graph, lo, hi, vol=vol, w_total=w_total)
+        if lo <= self.edge < hi:
+            chunk[self.edge - lo] = np.nan
+        return chunk
+
+
+class TestStreamedScoreGuard:
+    """A spilled graph is scored window by window; errors stay global."""
+
+    def test_sharded_run_reports_the_global_edge(self, tmp_path):
+        g = planted_partition_graph(500, seed=5)
+        backend = ShardedBackend(spill_dir=tmp_path, n_shards=8)
+        with pytest.raises(
+            ScoreValidationError, match=r"first at edge 1000:"
+        ):
+            detect_communities(g, _NaNAtEdge(1000), backend=backend)
+        backend.release()
+
+    def test_spilled_graph_names_the_window(self, tmp_path):
+        g = planted_partition_graph(500, seed=5)
+        store = ShardedCSRStore.spill(g, tmp_path / "g", n_shards=8)
+        lo, hi = next(r for r in store.shard_ranges if r[0] <= 1000 < r[1])
+        assert lo > 0, "the NaN must sit past the first window"
+        with pytest.raises(
+            ScoreValidationError,
+            match=rf"1 non-finite score\(s\) in edges \[{lo}, {hi}\) "
+            r"\(first at edge 1000",
+        ):
+            _NaNAtEdge(1000).score(store.as_graph())
+        store.cleanup()
 
 
 class TestPassBudget:
