@@ -28,10 +28,11 @@ from repro.bench.ledger import (
     repetition_from_run,
     write_ledger,
 )
+from repro.cli import positive_float, positive_int
 from repro.core.registry import kernel_names
 from repro.generators import planted_partition_graph
+from repro.graph.csr import LevelSpiller
 from repro.obs import QualityTimeline, Tracer
-from repro.parallel.backends import backend_names, create_backend
 from repro.resilience.guardian import RunGuardian
 from repro.resilience.invariants import AUDIT_MODES
 
@@ -46,8 +47,7 @@ def run_smoke(
     seed: int = 1,
     matcher: str = "worklist",
     contractor: str = "bucket",
-    backend: str | None = None,
-    n_workers: int = 1,
+    backend: str = "serial",
     directory: str = ".",
     audit: str = "sample",
     memory_budget: float | None = None,
@@ -64,10 +64,11 @@ def run_smoke(
 ):
     """Run the smoke benchmark and write its ledger; returns (record, path).
 
-    ``memory_budget`` (MiB) arms the guardian's memory guard with the
-    spill rung enabled — a breach migrates the repetition onto the
-    out-of-core sharded backend (spilling under ``spill_dir``, default a
-    private temp dir) instead of degrading toward abort; CI's
+    ``backend="sharded"`` spills every level of every repetition under
+    ``spill_dir`` (default a private temp dir).  ``memory_budget`` (MiB)
+    arms the guardian's memory guard with the spill rung enabled — a
+    breach makes the repetition spill its later levels under
+    ``spill_dir`` instead of degrading toward abort; CI's
     forced-spill job runs the smoke bench this way and the spill shows
     up in the ledger's recovery block.  ``trace_out``/``perfetto_out``
     export the *last* repetition's trace as JSONL / Chrome trace-event
@@ -91,16 +92,11 @@ def run_smoke(
         import tempfile
 
         spill_dir = own_spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-    backend_obj = None
-    if backend == "sharded":
-        from repro.parallel.backends import ShardedBackend
-
-        backend_obj = ShardedBackend(spill_dir=spill_dir, n_shards=shards)
-    elif backend is not None or n_workers > 1:
-        backend_obj = create_backend(
-            backend or "process-pool",
-            n_workers=n_workers if n_workers > 1 else None,
-        )
+    spill = (
+        LevelSpiller(spill_dir, n_shards=shards)
+        if backend == "sharded"
+        else None
+    )
     record = RunRecord(
         name=name,
         graph={
@@ -113,8 +109,7 @@ def run_smoke(
             "matcher": matcher,
             "contractor": contractor,
             "seed": seed,
-            "backend": backend_obj.name if backend_obj is not None else "serial",
-            "n_workers": backend_obj.n_workers if backend_obj is not None else 1,
+            "backend": backend,
             "audit": audit,
             "memory_budget_mb": memory_budget,
         },
@@ -160,7 +155,7 @@ def run_smoke(
                 contractor=contractor,  # type: ignore[arg-type]
                 tracer=tracer,
                 timeline=timeline,
-                backend=backend_obj,
+                spill=spill,
                 guardian=guardian,
                 telemetry=sampler,
                 memprof=profiler,
@@ -265,16 +260,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        default=None,
-        choices=backend_names(),
-        help="execution backend for the scoring phase "
-        "(default: serial, or process-pool when --workers > 1)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the backend (implies process-pool)",
+        default="serial",
+        choices=("serial", "sharded"),
+        help="'sharded' spills every level's graph to disk and streams "
+        "it shard by shard (same results)",
     )
     parser.add_argument(
         "--out-dir", default=".", help="directory for the ledger file"
@@ -301,11 +290,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--memory-budget",
-        type=float,
+        type=positive_float,
         metavar="MB",
         default=None,
         help="arm the guardian's memory guard with the spill rung: a "
-        "breach migrates the run onto the out-of-core sharded backend "
+        "breach makes the run spill its levels out of core "
         "(CI's forced-spill job; see docs/OUT_OF_CORE.md)",
     )
     parser.add_argument(
@@ -316,7 +305,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=positive_int,
         metavar="N",
         default=None,
         help="edge-shard count for spilled graphs (default 8)",
@@ -371,7 +360,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         matcher=args.matcher,
         contractor=args.contractor,
         backend=args.backend,
-        n_workers=args.workers,
         directory=args.out_dir,
         audit=args.audit,
         memory_budget=args.memory_budget,

@@ -41,6 +41,7 @@ from repro.core import (
 )
 from repro.errors import GraphFormatError, RunAbortedError
 from repro.graph import (
+    LevelSpiller,
     load_npz,
     read_edgelist,
     read_metis,
@@ -51,11 +52,46 @@ from repro.graph import (
 from repro.graph.graph import CommunityGraph
 from repro.metrics import Partition, average_conductance, coverage, modularity
 from repro.obs import Tracer, as_tracer, render_profile, write_trace
-from repro.parallel.backends import backend_names, create_backend
 from repro.resilience.guardian import RunGuardian
 from repro.resilience.invariants import AUDIT_MODES
 
-__all__ = ["main"]
+__all__ = ["main", "positive_int", "positive_float"]
+
+
+# ------------------------------------------------------- argument types
+# Range checks at the argparse boundary: an out-of-range value gets one
+# ``error:`` line and exit 2 instead of a ValueError traceback from deep
+# inside the library.
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type: a number greater than 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def coverage_target(text: str) -> float:
+    """argparse type: a coverage target of at most 1 (negative = none)."""
+    value = float(text)
+    if not value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be at most 1, got {text}")
+    return value
 
 
 def _make_tracer(args: argparse.Namespace) -> Tracer | None:
@@ -209,28 +245,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
             spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
             spill_dir_owned = True
-        # --backend names an execution backend explicitly; bare
-        # --workers N keeps its historical meaning of a process pool.
-        backend = None
-        if args.backend == "sharded":
-            from repro.parallel.backends import ShardedBackend
-
-            backend = ShardedBackend(
-                spill_dir=args.spill_dir, n_shards=args.shards
-            )
-        elif args.backend is not None or args.workers > 1:
-            backend = create_backend(
-                args.backend or "process-pool",
-                n_workers=args.workers if args.workers > 1 else None,
-            )
-            if backend.n_workers > 1 and not hasattr(
-                scorer, "score_with_backend"
-            ):
-                print(
-                    f"note: the {args.scorer} scorer does not support "
-                    f"backend execution; scoring in-process",
-                    file=sys.stderr,
-                )
+        spill = (
+            LevelSpiller(args.spill_dir, n_shards=args.shards)
+            if args.backend == "sharded"
+            else None
+        )
         guardian = None
         if (
             args.audit != "off"
@@ -279,7 +298,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                     tracer=tracer,
                     checkpoint_dir=args.checkpoint_dir,
                     resume=args.resume,
-                    backend=backend,
+                    spill=spill,
                     guardian=guardian,
                     telemetry=telemetry,
                     memprof=memprof,
@@ -288,12 +307,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                     items=graph.n_edges,
                     n_levels=result.n_levels,
                     terminated_by=result.terminated_by,
-                    backend=backend.name if backend is not None else "serial",
+                    backend=args.backend,
                 )
         except RunAbortedError as exc:
             _stop_live(state="failed")
-            if backend is not None and hasattr(backend, "release"):
-                backend.release()
+            if spill is not None:
+                spill.release()
             if spill_dir_owned:
                 import shutil
 
@@ -319,9 +338,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             _stop_live()
         partition = result.partition
         # The spill stores have served their purpose once the dendrogram
-        # exists; drop backend-owned state and any implicit temp dir.
-        if backend is not None and hasattr(backend, "release"):
-            backend.release()
+        # exists; drop the spiller's store and any implicit temp dir.
+        if spill is not None:
+            spill.release()
         if spill_dir_owned:
             import shutil
 
@@ -373,8 +392,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             "scorer": args.scorer,
             "matcher": args.matcher,
             "contractor": args.contractor,
-            "backend": args.backend or "serial",
-            "workers": args.workers,
+            "backend": args.backend,
             "n_vertices": graph.n_vertices,
             "n_edges": graph.n_edges,
         },
@@ -1061,29 +1079,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--coverage",
-        type=float,
+        type=coverage_target,
         default=-1.0,
         help="stop at this coverage (negative = run to local maximum)",
     )
-    p.add_argument("--min-communities", type=int, default=1)
-    p.add_argument("--max-community-size", type=int, default=None)
-    p.add_argument("--max-levels", type=int, default=None)
+    p.add_argument("--min-communities", type=positive_int, default=1)
+    p.add_argument("--max-community-size", type=positive_int, default=None)
+    p.add_argument("--max-levels", type=nonnegative_int, default=None)
     p.add_argument("--refine", action="store_true", help="run local refinement")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="score each level on a supervised worker-process pool "
-        "(modularity scorer only; see docs/RESILIENCE.md)",
-    )
-    p.add_argument(
         "--backend",
-        default=None,
-        choices=backend_names(),
-        help="execution backend phases run chunked work on "
-        "(default: serial, or process-pool when --workers > 1; "
-        "see docs/ARCHITECTURE.md)",
+        default="serial",
+        choices=("serial", "sharded"),
+        help="'sharded' spills every level's graph to disk and streams "
+        "it shard by shard (same labels; see docs/OUT_OF_CORE.md)",
     )
     p.add_argument(
         "--audit",
@@ -1096,21 +1106,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--phase-deadline",
-        type=float,
+        type=positive_float,
         metavar="SECONDS",
         default=None,
         help="soft per-phase deadline; a breach steps the guardian's "
-        "degradation ladder (serial backend, smaller chunks, lighter "
-        "audits, finally checkpoint-and-abort)",
+        "degradation ladder (lighter audits, finally "
+        "checkpoint-and-abort)",
     )
     p.add_argument(
         "--memory-budget",
-        type=float,
+        type=positive_float,
         metavar="MB",
         default=None,
         help="soft resident-memory budget sampled after each phase; a "
-        "breach first migrates the run onto the out-of-core sharded "
-        "backend (spill rung; see docs/OUT_OF_CORE.md), then steps the "
+        "breach first makes the run spill its levels out of core "
+        "(spill rung; see docs/OUT_OF_CORE.md), then steps the "
         "degradation ladder",
     )
     p.add_argument(
@@ -1123,7 +1133,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shards",
-        type=int,
+        type=positive_int,
         metavar="N",
         default=None,
         help="edge-shard count for spilled graphs (default 8)",
@@ -1166,7 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--telemetry",
         action="store_true",
-        help="sample RSS/GC/spill/worker counters in the background and "
+        help="sample RSS/GC/spill counters in the background and "
         "record them into the trace (parallel algorithm only)",
     )
     p.add_argument(
@@ -1304,7 +1314,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Render a JSONL run trace — plus an optional benchmark "
         "ledger — into a self-contained Markdown (or HTML) report: phase "
         "breakdown, per-level timeline with quality curve, hotspot "
-        "ranking, worker-lane/Amdahl analysis, and the trace consistency "
+        "ranking, and the trace consistency "
         "verdict (see docs/OBSERVABILITY.md).",
     )
     p.add_argument("trace", help="JSONL trace from --trace-out")

@@ -6,8 +6,8 @@ pipeline as an explicit composition instead of a monolithic loop:
 
 * :class:`RunContext` owns every cross-cutting service a run needs
   (tracer, quality timeline, recovery report, checkpoint manager,
-  simulated-work recorder, execution backend, progress callback, RNG
-  seed, logger) and is passed **once** through every layer, replacing
+  simulated-work recorder, level spiller, progress callback, RNG seed,
+  logger) and is passed **once** through every layer, replacing
   the ad-hoc kwarg plumbing the driver had grown.
 * :class:`PhaseKernel` is the one protocol scorers, matchers and
   contractors plug in behind; concrete kernels resolve by name through
@@ -19,15 +19,12 @@ pipeline as an explicit composition instead of a monolithic loop:
   timeline — everything that is *driver* policy rather than kernel
   arithmetic.
 
-Any phase can request chunked parallel execution from
-``ctx.backend`` (an :class:`~repro.parallel.backends.ExecutionBackend`);
-the modularity scorer uses it to score each level on the supervised
-worker pool when the backend provides parallelism.  Backend choice
-never changes results — kernels are deterministic and chunk writes are
-disjoint — only the execution profile.  Out-of-core execution is a
-property of the graph, not of a kernel name: a sharded backend's
-``prepare_level`` spills each level's graph, and every phase kernel
-streams a spilled graph's shard windows by itself (docs/OUT_OF_CORE.md).
+Out-of-core execution is a property of the graph, not of a kernel
+name: when ``ctx.spill`` holds a :class:`~repro.graph.csr.LevelSpiller`
+the engine spills each level's graph through it, and every phase kernel
+streams a spilled graph's shard windows by itself.  Spilling never
+changes results, only the residency of the working set
+(docs/OUT_OF_CORE.md).
 
 :func:`repro.core.agglomeration.detect_communities` is a thin
 compatibility wrapper over this engine; see docs/ARCHITECTURE.md for
@@ -47,6 +44,7 @@ from repro.core.registry import create_kernel
 from repro.core.scoring import EdgeScorer, score_edges, validate_scores
 from repro.core.termination import TerminationCriteria
 from repro.errors import CheckpointError, RunAbortedError
+from repro.graph.csr import LevelSpiller
 from repro.graph.edgelist import EdgeList
 from repro.graph.graph import CommunityGraph
 from repro.metrics.modularity import community_graph_modularity
@@ -65,7 +63,6 @@ from repro.obs.telemetry import (
 )
 from repro.obs.timeline import NullTimeline, QualityTimeline, as_timeline
 from repro.obs.trace import NullTracer, Tracer, as_tracer
-from repro.parallel.backends import ExecutionBackend, as_backend
 from repro.platform.kernels import TraceRecorder
 from repro.resilience.checkpoint import CheckpointManager, CheckpointState
 from repro.resilience.guardian import (
@@ -170,7 +167,7 @@ class RunContext:
     """Cross-cutting services of one agglomeration run.
 
     Built once (usually via :meth:`create`) and passed through every
-    layer — engine, phase kernels, backends — so no layer re-plumbs
+    layer — engine, phase kernels, guardian — so no layer re-plumbs
     tracer/timeline/recovery/checkpoint arguments individually.
 
     Attributes
@@ -179,9 +176,10 @@ class RunContext:
         Wall-clock span tracer (normalized; never ``None``).
     timeline:
         Per-level quality timeline (normalized; never ``None``).
-    backend:
-        Execution backend phase kernels may request chunked parallel
-        execution from.
+    spill:
+        Level spiller; when set, the engine spills each level's graph
+        through it before scoring.  ``None`` (default) keeps every
+        level in memory.  The guardian's spill rung sets it mid-run.
     recovery:
         Accumulator for every recovery action taken during the run.
     recorder:
@@ -212,7 +210,7 @@ class RunContext:
 
     tracer: Tracer | NullTracer
     timeline: QualityTimeline | NullTimeline
-    backend: ExecutionBackend
+    spill: LevelSpiller | None = None
     recovery: RecoveryReport = field(default_factory=RecoveryReport)
     recorder: TraceRecorder | None = None
     checkpoints: CheckpointManager | None = None
@@ -230,7 +228,7 @@ class RunContext:
         *,
         tracer: Tracer | NullTracer | None = None,
         timeline: QualityTimeline | NullTimeline | None = None,
-        backend: ExecutionBackend | str | None = None,
+        spill: LevelSpiller | None = None,
         recorder: TraceRecorder | None = None,
         recovery: RecoveryReport | None = None,
         checkpoint_dir: Any = None,
@@ -247,7 +245,7 @@ class RunContext:
         return cls(
             tracer=as_tracer(tracer),
             timeline=as_timeline(timeline),
-            backend=as_backend(backend),
+            spill=spill,
             recovery=recovery if recovery is not None else RecoveryReport(),
             recorder=recorder,
             checkpoints=(
@@ -289,10 +287,7 @@ class ScoreKernel:
     Built-in scorers validate their own output (``validates_output``
     class attribute); external protocol implementations are validated
     here, once, instead of re-validating every scorer every level.
-    When the scorer offers backend execution (``score_with_backend``)
-    and the context's backend provides parallelism, scoring runs
-    chunked on that backend with recovery accounted to the run;
-    otherwise :func:`~repro.core.scoring.score_edges` runs it (streaming
+    :func:`~repro.core.scoring.score_edges` runs the scorer (streaming
     a spilled graph window by window).
     """
 
@@ -306,19 +301,7 @@ class ScoreKernel:
     def run(
         self, ctx: RunContext, graph: CommunityGraph, **inputs: Any
     ) -> np.ndarray:
-        backend_score = getattr(self.scorer, "score_with_backend", None)
-        if backend_score is not None and ctx.backend.n_workers > 1:
-            scores = backend_score(
-                graph,
-                ctx.backend,
-                tracer=ctx.tracer,
-                recorder=ctx.recorder,
-                report=ctx.recovery,
-            )
-        else:
-            scores = score_edges(
-                self.scorer, graph, ctx.recorder, tracer=ctx.tracer
-            )
+        scores = score_edges(self.scorer, graph, ctx.recorder, tracer=ctx.tracer)
         if self._needs_validation:
             scores = validate_scores(scores, scorer=self.name)
         return scores
@@ -395,8 +378,8 @@ class AgglomerationEngine:
     The engine is configured once with its three phase kernels (by
     registry name, raw callable, or scorer instance) and termination
     criteria; :meth:`run` then executes any number of runs, each against
-    its own :class:`RunContext`.  Results are bit-identical across
-    execution backends and identical to the historical
+    its own :class:`RunContext`.  Results are bit-identical with and
+    without level spilling and identical to the historical
     ``detect_communities`` driver — the parity suite in
     ``tests/test_engine_parity.py`` enforces both.
     """
@@ -453,9 +436,9 @@ class AgglomerationEngine:
         termination = self.termination
         guard = as_guardian(ctx.guardian)
         guard.bind(ctx, graph)
-        # The live-telemetry sampler reads backend/recovery state off the
-        # context every tick, so a guardian backend swap (spill rung) is
-        # visible immediately; the engine publishes phase transitions.
+        # The live-telemetry sampler reads spill/recovery state off the
+        # context every tick, so the guardian's spill rung is visible
+        # immediately; the engine publishes phase transitions.
         ctx.telemetry.bind_run(ctx)
 
         current = graph.copy()
@@ -470,8 +453,6 @@ class AgglomerationEngine:
             scorer=self.score_kernel.name,
             matcher=self.match_kernel.name,
             contractor=self.contract_kernel.name,
-            backend=ctx.backend.name,
-            n_workers=ctx.backend.n_workers,
             seed=ctx.seed,
         ) as run_span:
             if resume:
@@ -568,13 +549,6 @@ class AgglomerationEngine:
             )
             ctx.telemetry.publish_phase("done", None)
 
-        # Fold pool-level recovery accounting (e.g. ParallelModularityScorer)
-        # into the run's report; use a fresh scorer per run to avoid carrying
-        # counts across runs.
-        scorer_report = getattr(self.score_kernel.scorer, "report", None)
-        if isinstance(scorer_report, RecoveryReport):
-            ctx.recovery.merge(scorer_report)
-
         return AgglomerationResult(
             partition=dendrogram.final_partition(),
             dendrogram=dendrogram,
@@ -613,12 +587,11 @@ class AgglomerationEngine:
         with tr.span(
             "level", level=level_idx, n_vertices=entering_v, n_edges=entering_e
         ) as level_span:
-            prepare = getattr(ctx.backend, "prepare_level", None)
-            if prepare is not None and getattr(ctx.backend, "sharded", False):
+            if ctx.spill is not None:
                 # Out-of-core: spill the level's graph and continue on
                 # its value-identical memmap-backed twin (results are
                 # bit-identical; see docs/OUT_OF_CORE.md).
-                current = prepare(current, level_idx, tracer=tr)
+                current = ctx.spill.prepare_level(current, level_idx, tracer=tr)
 
             ctx.telemetry.publish_phase("score", level_idx)
             with tr.span("score", level=level_idx) as sp:

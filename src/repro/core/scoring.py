@@ -77,9 +77,7 @@ class EdgeScorer(Protocol):
     ``validates_output = True`` class attribute so the engine skips its
     driver-side re-validation; external implementations without the
     attribute are validated once by the engine's score phase.
-    Implementations may additionally offer ``score_with_backend`` (see
-    :meth:`ModularityScorer.score_with_backend`) to run chunked on a
-    :class:`~repro.parallel.backends.ExecutionBackend`, and
+    Implementations may additionally offer
     ``score_range(graph, lo, hi, *, vol, w_total)`` to score one edge
     window; :func:`score_edges` then streams a spilled graph window by
     window — the per-edge formulas are elementwise, so a windowed
@@ -204,34 +202,6 @@ class ModularityScorer(_WindowedScorer):
             e.w[lo:hi] / w_total
             - vol[e.ei[lo:hi]] * vol[e.ej[lo:hi]] / (2.0 * w_total**2)
         ).astype(SCORE_DTYPE, copy=False)
-
-    def score_with_backend(
-        self,
-        graph: CommunityGraph,
-        backend,
-        *,
-        tracer=None,
-        recorder: TraceRecorder | None = None,
-        report=None,
-    ) -> np.ndarray:
-        """Score chunked on an execution backend — bit-identical to
-        :meth:`score` (same arithmetic over disjoint chunk slices).
-
-        The engine's score phase calls this instead of :meth:`score`
-        whenever the run's backend provides parallelism
-        (``backend.n_workers > 1``); recovery actions taken by the
-        backend accumulate into ``report``.
-        """
-        from repro.parallel.pool import parallel_edge_scores
-
-        scores = parallel_edge_scores(
-            graph,
-            backend=backend,
-            tracer=tracer,
-            report=report,
-        )
-        _record_scoring(recorder, graph, self.name)
-        return scores
 
 
 class ConductanceScorer(_WindowedScorer):

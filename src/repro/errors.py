@@ -20,7 +20,6 @@ __all__ = [
     "SpillError",
     "WalError",
     "StreamStateError",
-    "ChunkFailureError",
     "RunAbortedError",
 ]
 
@@ -111,17 +110,6 @@ class StreamStateError(ReproError):
     """
 
 
-class ChunkFailureError(ReproError):
-    """A pool chunk failed even after retries and in-process fallback.
-
-    This is the unrecoverable end of the :class:`repro.resilience.RetryPolicy`
-    escalation ladder; seeing it means the failure is deterministic in the
-    chunk itself (bad input, bug), not worker-process flakiness.  Each
-    escalation to this error is counted in
-    :attr:`repro.resilience.RecoveryReport.chunk_failures`.
-    """
-
-
 class GuardianBreach(UserWarning):
     """A run-guardian watchdog threshold was breached and absorbed.
 
@@ -137,8 +125,8 @@ class GuardianBreach(UserWarning):
 class RunAbortedError(ReproError):
     """The run guardian exhausted its degradation ladder and stopped the run.
 
-    Raised only after every softer rung (backend downgrade, chunk
-    halving, audit lowering) has been spent; the engine writes a final
+    Raised only after every softer rung (audit lowering) has been
+    spent; the engine writes a final
     checkpoint first when a checkpoint directory is configured, so the
     run is resumable.  Attributes ``reason`` (the breach that spent the
     last rung), ``checkpoint_path`` (the final checkpoint, or ``None``),

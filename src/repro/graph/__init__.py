@@ -8,7 +8,12 @@ from repro.graph.build import (
     from_networkx,
     to_networkx,
 )
-from repro.graph.csr import CSRAdjacency, EdgeShard, ShardedCSRStore
+from repro.graph.csr import (
+    CSRAdjacency,
+    EdgeShard,
+    LevelSpiller,
+    ShardedCSRStore,
+)
 from repro.graph.components import connected_components
 from repro.graph.subgraph import induced_subgraph, largest_component
 from repro.graph.io import (
@@ -29,6 +34,7 @@ __all__ = [
     "to_networkx",
     "CSRAdjacency",
     "EdgeShard",
+    "LevelSpiller",
     "ShardedCSRStore",
     "connected_components",
     "induced_subgraph",

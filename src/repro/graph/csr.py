@@ -20,13 +20,20 @@ results on it.  The phase kernels stream such a graph window by window
 (:func:`_ranges_of`) and keep their edge-length temporaries in
 spill-backed scratch (:class:`_Scratch`); on an ordinary graph the same
 code runs on one window.
+
+``LevelSpiller`` is the run-level policy on top of the store: when a
+run's context carries one, the engine hands it each level's graph and
+continues on the spilled twin (see docs/OUT_OF_CORE.md).
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import shutil
+import tempfile
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -46,9 +53,18 @@ from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 from repro.util.atomicio import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.trace import NullTracer, Tracer
     from repro.resilience.faults import FaultPlan
 
-__all__ = ["CSRAdjacency", "EdgeShard", "ShardedCSRStore", "DEFAULT_SHARDS"]
+__all__ = [
+    "CSRAdjacency",
+    "EdgeShard",
+    "ShardedCSRStore",
+    "LevelSpiller",
+    "DEFAULT_SHARDS",
+]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -304,6 +320,150 @@ class ShardedCSRStore:
     def cleanup(self) -> None:
         """Drop the on-disk store (best effort; views become invalid)."""
         shutil.rmtree(self.directory, ignore_errors=True)
+
+
+class LevelSpiller:
+    """Spills each level's community graph to its own :class:`ShardedCSRStore`.
+
+    A run whose context carries a spiller (``RunContext.spill``) hands
+    every level's graph to :meth:`prepare_level` before scoring and
+    continues on the returned memmap-backed twin; every phase kernel
+    streams a graph that carries a spill store shard window by shard
+    window.  The twin is value-identical and the streamed kernels are
+    bit-identical to their one-window runs, so a spilled run produces
+    exactly the serial run's dendrogram, level statistics and recorder
+    profile — only the residency of the working set changes
+    (file-backed pages the OS can evict instead of anonymous memory it
+    cannot).
+
+    Each level spills under ``spill_dir/level_NNNNN``; the previous
+    level's store is deleted once the new one is durable, so at most two
+    levels of spill exist at any instant.  ``spill_dir=None`` creates a
+    private temporary directory removed when the spiller is
+    garbage-collected or :meth:`release` is called; a caller-provided
+    directory is never deleted wholesale (only the per-level stores
+    inside it are).
+    """
+
+    def __init__(
+        self,
+        spill_dir: str | os.PathLike | None = None,
+        *,
+        n_shards: int | None = None,
+        faults: "FaultPlan | None" = None,
+    ) -> None:
+        if n_shards is not None and n_shards < 1:
+            raise ValueError("n_shards must be at least 1")
+        if spill_dir is None:
+            self.spill_dir = Path(tempfile.mkdtemp(prefix="repro-spill-"))
+        else:
+            self.spill_dir = Path(os.fspath(spill_dir))
+            self.spill_dir.mkdir(parents=True, exist_ok=True)
+        self._owns_spill_dir = spill_dir is None
+        self.n_shards = n_shards
+        self.faults = faults
+        self._store: ShardedCSRStore | None = None
+        self.spilled_levels = 0
+        self.spilled_bytes = 0
+        self.spill_failures = 0
+        # A private temp dir must not outlive the spiller even when the
+        # caller never releases it explicitly.
+        if self._owns_spill_dir:
+            weakref.finalize(self, shutil.rmtree, str(self.spill_dir), True)
+
+    def prepare_level(
+        self,
+        graph: CommunityGraph,
+        level: int,
+        *,
+        tracer: "Tracer | NullTracer | None" = None,
+    ) -> CommunityGraph:
+        """Spill ``graph`` for ``level`` and return its memmap-backed twin.
+
+        Idempotent: a graph that already carries a spill store (e.g. a
+        level re-entered after a guardian retry) is returned unchanged.
+        The spill is visible in the trace as a ``spill_level`` span plus
+        the ``spill.levels`` / ``spill.bytes_written`` counters.
+
+        A spill that *fails* — disk full (``ENOSPC``), or a store that
+        reopens torn — degrades to in-memory execution for this level
+        instead of crashing the run: results are bit-identical either
+        way, so the only cost is residency.  The failure is loud
+        (``spill.failures`` counter, ``failed`` span attribute, warning
+        log) and the next level retries spilling from scratch.
+        """
+        from repro.obs.trace import as_tracer
+
+        if getattr(graph, "spill_store", None) is not None:
+            return graph
+        tr = as_tracer(tracer)
+        directory = self.spill_dir / f"level_{level:05d}"
+        with tr.span(
+            "spill_level",
+            level=level,
+            n_vertices=graph.n_vertices,
+            n_edges=graph.n_edges,
+        ) as sp:
+            try:
+                store = ShardedCSRStore.spill(
+                    graph,
+                    directory,
+                    n_shards=self.n_shards,
+                    faults=self.faults,
+                    artifact="spill-graph",
+                    index=level,
+                )
+            except (OSError, SpillError) as exc:
+                sp.set(failed=f"{type(exc).__name__}: {exc}")
+                tr.counter("spill.failures").inc()
+                self.spill_failures += 1
+                _log.warning(
+                    "spill of level %d failed (%s); running the level "
+                    "in-memory instead",
+                    level,
+                    exc,
+                )
+                shutil.rmtree(directory, ignore_errors=True)
+                return graph
+            nbytes = store.nbytes
+            sp.set(
+                items=graph.n_edges,
+                bytes=nbytes,
+                n_shards=store.n_shards,
+                path=str(directory),
+            )
+        tr.counter("spill.levels").inc()
+        tr.counter("spill.bytes_written").inc(nbytes)
+        self.spilled_levels += 1
+        self.spilled_bytes += nbytes
+        previous, self._store = self._store, store
+        if previous is not None:
+            # The contracted graph's arrays may be scratch memmaps inside
+            # the previous store's directory; they were just re-spilled
+            # into the new store, and POSIX keeps already-mapped pages
+            # valid after unlink, so dropping the old store is safe.
+            previous.cleanup()
+        return store.as_graph()
+
+    @property
+    def open_level_stores(self) -> int:
+        """Level stores currently held open (0 or 1 by construction —
+        :meth:`prepare_level` drops the previous store once the new one
+        is durable).  The telemetry sampler exports this as a counter
+        track so a store leak shows up as a climbing series."""
+        return 1 if self._store is not None else 0
+
+    def release(self) -> None:
+        """Drop the current spill store (and a private temp directory).
+
+        The spiller stays usable afterwards — the next
+        :meth:`prepare_level` recreates the directory tree.
+        """
+        if self._store is not None:
+            self._store.cleanup()
+            self._store = None
+        if self._owns_spill_dir:
+            shutil.rmtree(self.spill_dir, ignore_errors=True)
 
 
 def _shard_ranges(

@@ -2,19 +2,18 @@
 
 Converts a span list into the JSON trace-event format that
 ``ui.perfetto.dev`` and ``chrome://tracing`` open directly, so a run's
-per-level score/match/contract pipeline and the worker flight-recorder
-lanes become a zoomable timeline instead of a table.
+per-level score/match/contract pipeline becomes a zoomable timeline
+instead of a table.
 
 The mapping:
 
 * every span becomes one complete event (``"ph": "X"``) with ``ts`` and
   ``dur`` in microseconds, relative to the earliest span start in the
   trace (Perfetto only needs a common origin, not absolute time);
-* ``pid``/``tid`` place each span on its lane — worker flight records
-  carry their worker's real OS pid, so each worker renders as its own
-  process track under the parent;
-* metadata events (``"ph": "M"``) name the tracks: the parent process
-  becomes ``repro (parent)``, each worker ``worker <pid>``;
+* ``pid``/``tid`` place each span on its lane (the recording process
+  and thread);
+* metadata events (``"ph": "M"``) name the tracks: each process
+  becomes ``repro (pid <pid>)``, each thread ``main``;
 * span level, item count, and attributes ride along in ``args``;
 * telemetry counter samples (schema v3) become counter events
   (``"ph": "C"``) — Perfetto renders each distinct sample name as its
@@ -41,9 +40,9 @@ from repro.util.atomicio import atomic_write
 __all__ = ["to_chrome_trace", "write_perfetto"]
 
 
-def _lane(span: Span, parent_pid: int) -> tuple[int, int]:
+def _lane(span: Span, default_pid: int) -> tuple[int, int]:
     """(pid, tid) track placement for a span."""
-    pid = span.pid if span.pid is not None else parent_pid
+    pid = span.pid if span.pid is not None else default_pid
     tid = span.tid if span.tid is not None else pid
     return pid, tid
 
@@ -65,23 +64,15 @@ def to_chrome_trace(
     samples = list(samples or ())
     events: list[dict] = []
     starts = [s.start_ns for s in spans] + [s.ts_ns for s in samples]
-    if spans:
-        parent_pid = next(
-            (s.pid for s in spans if s.pid is not None and s.name != "worker_chunk"),
-            None,
-        )
-        if parent_pid is None:
-            parent_pid = os.getpid()
-    else:
-        parent_pid = next(
-            (s.pid for s in samples if s.pid is not None), os.getpid()
-        )
+    default_pid = next(
+        (s.pid for s in [*spans, *samples] if s.pid is not None), os.getpid()
+    )
     origin_ns = min(starts) if starts else 0
 
     lanes: set[tuple[int, int]] = set()
     counter_pids: set[int] = set()
     for s in spans:
-        pid, tid = _lane(s, parent_pid)
+        pid, tid = _lane(s, default_pid)
         lanes.add((pid, tid))
         args: dict = {"span_id": s.span_id}
         if s.parent_id is not None:
@@ -114,20 +105,19 @@ def to_chrome_trace(
                 "cat": "telemetry",
                 "ph": "C",
                 "ts": (s.ts_ns - origin_ns) / 1e3,
-                "pid": s.pid if s.pid is not None else parent_pid,
+                "pid": s.pid if s.pid is not None else default_pid,
                 "args": {"value": s.value},
             }
         )
-        counter_pids.add(s.pid if s.pid is not None else parent_pid)
+        counter_pids.add(s.pid if s.pid is not None else default_pid)
 
     for pid in sorted({p for p, _ in lanes} | counter_pids):
-        name = "repro (parent)" if pid == parent_pid else f"worker {pid}"
         events.append(
             {
                 "name": "process_name",
                 "ph": "M",
                 "pid": pid,
-                "args": {"name": name},
+                "args": {"name": f"repro (pid {pid})"},
             }
         )
     for pid, tid in sorted(lanes):
@@ -137,9 +127,7 @@ def to_chrome_trace(
                 "ph": "M",
                 "pid": pid,
                 "tid": tid,
-                "args": {
-                    "name": "main" if pid == parent_pid else f"worker {pid}"
-                },
+                "args": {"name": "main"},
             }
         )
 

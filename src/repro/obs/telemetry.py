@@ -7,9 +7,8 @@ periodically records
 
 * anonymous RSS (:func:`repro.util.memprobe.rss_anon_mb`),
 * cumulative GC collections,
-* spill bytes and open level-store count (from the run's backend),
-* live worker count (heartbeats piggybacked on the pool's metrics
-  queue),
+* spill bytes and open level-store count (from the run's level
+  spiller),
 * the current phase/level (published by the engine via ``RunContext``)
 
 into the trace as schema-v3 **counter samples**
@@ -58,8 +57,6 @@ __all__ = [
     "NullTelemetry",
     "NULL_TELEMETRY",
     "as_telemetry",
-    "record_worker_heartbeat",
-    "workers_alive",
     "read_status",
     "render_status",
     "STATUS_FILENAME",
@@ -79,40 +76,6 @@ STATUS_VERSION = 1
 #: track (counter tracks plot numbers, not strings).  ``idle`` covers
 #: between-level housekeeping; ``done`` is published when the run ends.
 PHASE_IDS = {"idle": 0, "score": 1, "match": 2, "contract": 3, "done": 4}
-
-#: A worker whose last heartbeat is older than this is counted dead.
-WORKER_LIVENESS_WINDOW_S = 15.0
-
-# ------------------------------------------------------ worker heartbeats
-#: pid -> monotonic_ns of the worker's last payload.  Written by the
-#: parent's pool drain loop (single writer per key; dict item assignment
-#: is atomic under the GIL), read by the sampler thread.
-_worker_heartbeats: dict[int, int] = {}
-
-
-def record_worker_heartbeat(pid: int) -> None:
-    """Note that worker ``pid`` delivered a payload just now.
-
-    Called by the supervised pool's drain loop, which only runs when a
-    tracer is attached — the untraced path never reaches here.  Cheap
-    enough to call per payload (one dict store).
-    """
-    _worker_heartbeats[pid] = time.monotonic_ns()
-
-
-def workers_alive(
-    *, window_s: float = WORKER_LIVENESS_WINDOW_S, now_ns: int | None = None
-) -> int:
-    """Number of workers heard from within the liveness window."""
-    now = time.monotonic_ns() if now_ns is None else now_ns
-    horizon = now - int(window_s * 1e9)
-    return sum(1 for ts in list(_worker_heartbeats.values()) if ts >= horizon)
-
-
-def _reset_worker_heartbeats() -> None:
-    """Test hook: forget all heartbeats."""
-    _worker_heartbeats.clear()
-
 
 # --------------------------------------------------------------- sampler
 class TelemetrySampler:
@@ -188,8 +151,8 @@ class TelemetrySampler:
     def bind_run(self, ctx: "RunContext") -> None:
         """Attach to a run context.
 
-        Gives the sampler live access to ``ctx.backend`` (spill bytes /
-        open stores — followed through the guardian's spill swap, since
+        Gives the sampler live access to ``ctx.spill`` (spill bytes /
+        open stores — followed through the guardian's spill rung, since
         the attribute is re-read every tick) and ``ctx.recovery`` (the
         guardian ladder state for status.json).  Called by the engine
         at run start; harmless to call more than once.
@@ -308,19 +271,18 @@ class TelemetrySampler:
         tr.record_counter(
             "gc_collections", gc_collections, ts_ns=ts, unit="count"
         )
-        backend = self._ctx.backend if self._ctx is not None else None
-        spill_bytes = int(getattr(backend, "spilled_bytes", 0) or 0)
-        spilled_levels = int(getattr(backend, "spilled_levels", 0) or 0)
-        open_stores = int(getattr(backend, "open_level_stores", 0) or 0)
-        if backend is not None and getattr(backend, "sharded", False):
+        spill = self._ctx.spill if self._ctx is not None else None
+        spill_bytes = spilled_levels = open_stores = 0
+        if spill is not None:
+            spill_bytes = spill.spilled_bytes
+            spilled_levels = spill.spilled_levels
+            open_stores = spill.open_level_stores
             tr.record_counter(
                 "spill_bytes", spill_bytes, ts_ns=ts, unit="bytes"
             )
             tr.record_counter(
                 "open_level_stores", open_stores, ts_ns=ts, unit="count"
             )
-        n_workers = workers_alive(now_ns=ts)
-        tr.record_counter("workers_alive", n_workers, ts_ns=ts, unit="count")
         phase, level = self._phase, self._level
         tr.record_counter(
             "phase_id", PHASE_IDS.get(phase, -1), ts_ns=ts, unit="phase"
@@ -355,7 +317,6 @@ class TelemetrySampler:
             "spill_bytes": spill_bytes,
             "spilled_levels": spilled_levels,
             "open_level_stores": open_stores,
-            "workers_alive": n_workers,
             "n_samples": self.n_samples,
             "guardian": {
                 "breaches": getattr(recovery, "guardian_breaches", 0),
@@ -559,7 +520,6 @@ def render_status(
         ),
         f"  memory   : {mem}",
         f"  spill    : {spill}",
-        f"  workers  : {status.get('workers_alive', 0)} alive",
         f"  gc       : {status.get('gc_collections', 0)} collections",
         f"  guardian : {gline}",
         f"  heartbeat: {heartbeat}, {status.get('n_samples', 0)} samples",

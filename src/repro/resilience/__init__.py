@@ -4,16 +4,15 @@ The paper's pipeline is a long-running score → match → contract loop over
 shared arrays; this subpackage is what lets a real deployment of it
 survive the failures that loop meets in production:
 
-* :mod:`repro.resilience.retry` — the :class:`RetryPolicy` escalation
-  ladder the hardened :class:`repro.parallel.SharedArrayPool` follows
-  when a worker dies, stalls, or emits garbage;
+* :mod:`repro.resilience.retry` — the :class:`RetryPolicy` backoff
+  schedule the streaming service retries failed repairs with;
 * :mod:`repro.resilience.report` — :class:`RecoveryReport`, the recovery
   accounting attached to every
   :class:`~repro.core.agglomeration.AgglomerationResult`;
 * :mod:`repro.resilience.checkpoint` — atomic, schema-versioned,
   validated level checkpoints and the resume path
   (:class:`CheckpointManager`);
-* :mod:`repro.resilience.faults` — deterministic, seeded fault injectors
+* :mod:`repro.resilience.faults` — deterministic fault injectors
   (:class:`FaultPlan`) driving the chaos test suite;
 * :mod:`repro.resilience.invariants` — the :class:`InvariantAuditor`
   re-deriving the paper's conservation laws after every contraction;

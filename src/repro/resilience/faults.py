@@ -1,22 +1,13 @@
 """Deterministic fault injection for the chaos test suite.
 
-A :class:`FaultPlan` maps ``(chunk_index, attempt)`` pairs to
-:class:`FaultSpec` actions.  The pool's worker wrapper consults the plan
-*inside the forked child*, so an injected fault behaves exactly like the
-production failure it models:
+A :class:`FaultPlan` is static data built ahead of the run that maps
+injection points to :class:`FaultSpec` actions, so injection is fully
+deterministic.  It has three fault families.
 
-* ``kill`` — the worker calls ``os._exit`` before touching the output
-  (a crashed/OOM-killed process);
-* ``delay`` — the worker sleeps past the per-chunk deadline (a wedged or
-  starved process);
-* ``corrupt`` — the worker computes its chunk, then overwrites the output
-  slice with NaN (silent data corruption).
-
-A plan can additionally target whole *pipeline phases* — keyed by
-``(phase, level)`` and consulted by the run guardian
-(:class:`repro.resilience.RunGuardian`) as the phase starts — so the
-chaos suite can exercise the run-level watchdog and degradation ladder
-deterministically:
+*Pipeline phase* faults are keyed by ``(phase, level)`` and consulted
+by the run guardian (:class:`repro.resilience.RunGuardian`) as the
+phase starts, so the chaos suite can exercise the run-level watchdog
+and degradation ladder deterministically:
 
 * ``stall`` — an injected sleep inside a phase kernel (a wedged scoring
   or matching loop), tripping the phase-deadline watchdog;
@@ -24,33 +15,27 @@ deterministically:
   duration of the phase (a memory blow-up), tripping the memory-budget
   guard.
 
-Plans are static data built ahead of the run, so injection is fully
-deterministic: :meth:`FaultPlan.seeded` derives every decision from
-``(seed, chunk_index, attempt)`` alone, independent of scheduling order.
-Chunk faults fire only in worker processes — the parent's in-process
-degraded path executes the same chunk function directly, faults
-bypassed, which is what makes "kill every worker attempt" a recoverable
-scenario.  Phase faults fire in the driver process, before the phase's
-kernel runs, and never touch its output.
+Phase faults fire before the phase's kernel runs and never touch its
+output.
 
-A third fault family targets *durable artifacts on disk* — keyed by
-``(artifact, index)`` and consulted by the out-of-core spill writer
-(:mod:`repro.spmatrix.spill`) — so the chaos suite can prove a spilled
-run never trusts torn shard data:
+*Durable-artifact* faults are keyed by ``(artifact, index)`` and
+consulted by the out-of-core spill writer (:mod:`repro.spmatrix.spill`),
+so the chaos suite can prove a spilled run never trusts torn shard
+data:
 
 * ``enospc`` — the spill write raises ``OSError(ENOSPC)`` before any
-  byte lands (a full disk), which the spill rung must absorb by falling
-  back to the rest of the degradation ladder;
+  byte lands (a full disk), which the spiller must absorb by running
+  the level in memory;
 * ``torn_write`` — the spill file is truncated *after* its atomic
   rename (modeling at-rest corruption / a lost sync), which the
   checksummed header must catch on reopen as
   :class:`~repro.errors.SpillError`.
 
-A fourth fault family targets the *streaming detection service* — keyed
-by ``(crash_point, index)`` and consulted by
-:class:`repro.stream.service.DetectionService` and its write-ahead log
-at named protocol points (``wal-append``, ``apply``, ``snapshot`` …) —
-so the kill-chaos suite can prove crash-equivalence deterministically:
+*Streaming-service* faults are keyed by ``(crash_point, index)`` and
+consulted by :class:`repro.stream.service.DetectionService` and its
+write-ahead log at named protocol points (``wal-append``, ``apply``,
+``snapshot`` …), so the kill-chaos suite can prove crash-equivalence
+deterministically:
 
 * ``sigkill`` — the process sends itself ``SIGKILL`` at the crash
   point: no cleanup handlers, no flushes, exactly the ``kill -9`` the
@@ -68,14 +53,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
-import numpy as np
-
 __all__ = ["FaultSpec", "FaultPlan", "truncate_file"]
 
 FaultKind = Literal[
-    "kill",
-    "delay",
-    "corrupt",
     "stall",
     "memory_pressure",
     "enospc",
@@ -83,8 +63,6 @@ FaultKind = Literal[
     "sigkill",
 ]
 
-#: Kinds injected inside forked worker processes (chunk faults).
-CHUNK_FAULT_KINDS = ("kill", "delay", "corrupt")
 #: Kinds injected in the driver process at phase entry (phase faults).
 PHASE_FAULT_KINDS = ("stall", "memory_pressure")
 #: Kinds injected at durable-artifact writes (disk faults).
@@ -95,24 +73,21 @@ SERVICE_FAULT_KINDS = ("sigkill",)
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One injected fault: what to do to a chunk attempt or a phase.
+    """One injected fault: what to do at a phase, write or crash point.
 
-    ``delay_s`` parameterizes ``delay`` and ``stall``; ``alloc_mb`` the
-    size of the transient ``memory_pressure`` allocation; ``exit_code``
-    the ``kill`` exit status; ``keep_fraction`` how much of a
-    ``torn_write`` file survives.
+    ``delay_s`` parameterizes ``stall``; ``alloc_mb`` the size of the
+    transient ``memory_pressure`` allocation; ``keep_fraction`` how much
+    of a ``torn_write`` file survives.
     """
 
     kind: FaultKind
     delay_s: float = 0.0
-    exit_code: int = 17
     alloc_mb: float = 64.0
     keep_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.kind not in (
-            CHUNK_FAULT_KINDS
-            + PHASE_FAULT_KINDS
+            PHASE_FAULT_KINDS
             + DISK_FAULT_KINDS
             + SERVICE_FAULT_KINDS
         ):
@@ -129,13 +104,11 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic schedule of faults.
 
-    ``faults`` keys chunk faults by ``(chunk_index, attempt)``;
     ``phase_faults`` keys phase faults by ``(phase_name, level)``;
     ``disk_faults`` keys disk faults by ``(artifact_name, index)``;
     ``service_faults`` keys service faults by ``(crash_point, index)``.
     """
 
-    faults: dict[tuple[int, int], FaultSpec] = field(default_factory=dict)
     phase_faults: dict[tuple[str, int], FaultSpec] = field(
         default_factory=dict
     )
@@ -145,10 +118,6 @@ class FaultPlan:
     service_faults: dict[tuple[str, int], FaultSpec] = field(
         default_factory=dict
     )
-
-    def decide(self, chunk_index: int, attempt: int) -> FaultSpec | None:
-        """The fault to inject for this chunk attempt, if any."""
-        return self.faults.get((chunk_index, attempt))
 
     def decide_phase(self, phase: str, level: int) -> FaultSpec | None:
         """The fault to inject at this phase of this level, if any."""
@@ -165,38 +134,22 @@ class FaultPlan:
     @property
     def n_faults(self) -> int:
         return (
-            len(self.faults)
-            + len(self.phase_faults)
+            len(self.phase_faults)
             + len(self.disk_faults)
             + len(self.service_faults)
         )
 
-    def add(
-        self, chunk_index: int, attempt: int, spec: FaultSpec
-    ) -> "FaultPlan":
-        """Schedule one chunk fault; chainable."""
-        if spec.kind not in CHUNK_FAULT_KINDS:
-            raise ValueError(
-                f"{spec.kind!r} is a phase fault; use add_phase()"
-            )
-        self.faults[(chunk_index, attempt)] = spec
-        return self
-
     def add_phase(self, phase: str, level: int, spec: FaultSpec) -> "FaultPlan":
         """Schedule one phase fault; chainable."""
         if spec.kind not in PHASE_FAULT_KINDS:
-            raise ValueError(
-                f"{spec.kind!r} is a chunk fault; use add()"
-            )
+            raise ValueError(f"{spec.kind!r} is not a phase fault")
         self.phase_faults[(phase, level)] = spec
         return self
 
     def add_disk(self, artifact: str, index: int, spec: FaultSpec) -> "FaultPlan":
         """Schedule one disk fault; chainable."""
         if spec.kind not in DISK_FAULT_KINDS:
-            raise ValueError(
-                f"{spec.kind!r} is not a disk fault; use add()/add_phase()"
-            )
+            raise ValueError(f"{spec.kind!r} is not a disk fault")
         self.disk_faults[(artifact, index)] = spec
         return self
 
@@ -205,53 +158,11 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Schedule one service crash-point fault; chainable."""
         if spec.kind not in SERVICE_FAULT_KINDS:
-            raise ValueError(
-                f"{spec.kind!r} is not a service fault; use "
-                "add()/add_phase()/add_disk()"
-            )
+            raise ValueError(f"{spec.kind!r} is not a service fault")
         self.service_faults[(point, index)] = spec
         return self
 
     # -------------------------------------------------------------- builders
-    @classmethod
-    def kill_first_attempt(
-        cls, chunks: Iterable[int], *, exit_code: int = 17
-    ) -> "FaultPlan":
-        """Kill the first attempt of each listed chunk; retries succeed."""
-        return cls(
-            {
-                (c, 0): FaultSpec("kill", exit_code=exit_code)
-                for c in chunks
-            }
-        )
-
-    @classmethod
-    def kill_every_attempt(
-        cls, chunks: Iterable[int], *, attempts: int, exit_code: int = 17
-    ) -> "FaultPlan":
-        """Kill all ``attempts`` worker attempts — forces degraded mode."""
-        return cls(
-            {
-                (c, a): FaultSpec("kill", exit_code=exit_code)
-                for c in chunks
-                for a in range(attempts)
-            }
-        )
-
-    @classmethod
-    def delay_first_attempt(
-        cls, chunks: Iterable[int], *, delay_s: float
-    ) -> "FaultPlan":
-        """Stall the first attempt of each listed chunk past a deadline."""
-        return cls(
-            {(c, 0): FaultSpec("delay", delay_s=delay_s) for c in chunks}
-        )
-
-    @classmethod
-    def corrupt_first_attempt(cls, chunks: Iterable[int]) -> "FaultPlan":
-        """NaN-corrupt the first attempt's output of each listed chunk."""
-        return cls({(c, 0): FaultSpec("corrupt") for c in chunks})
-
     @classmethod
     def stall_phase(
         cls, phase: str, levels: Iterable[int], *, delay_s: float
@@ -289,9 +200,9 @@ class FaultPlan:
         """Fail the listed spill writes with ``OSError(ENOSPC)``.
 
         ``artifact`` names the writer (the spill layer uses the level's
-        artifact tag, e.g. ``"spill-graph"``); the spill rung must treat
-        the failed spill as unavailable and fall back to the remaining
-        degradation ladder instead of crashing the run.
+        artifact tag, e.g. ``"spill-graph"``); the spiller must treat
+        the failed spill as unavailable and run the level in memory
+        instead of crashing the run.
         """
         return cls(
             disk_faults={(artifact, i): FaultSpec("enospc") for i in indices}
@@ -336,47 +247,6 @@ class FaultPlan:
         return cls(
             service_faults={(point, i): FaultSpec("sigkill") for i in indices}
         )
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        n_chunks: int,
-        *,
-        p_kill: float = 0.0,
-        p_delay: float = 0.0,
-        p_corrupt: float = 0.0,
-        delay_s: float = 0.05,
-        faulty_attempts: int = 1,
-    ) -> "FaultPlan":
-        """Draw one independent fault decision per (chunk, attempt).
-
-        Each decision uses a generator keyed by ``(seed, chunk, attempt)``,
-        so the plan is a pure function of its arguments — rebuilding it
-        with the same seed yields the identical schedule regardless of
-        execution order, which is what makes chaos runs reproducible.
-        """
-        if min(p_kill, p_delay, p_corrupt) < 0 or (
-            p_kill + p_delay + p_corrupt
-        ) > 1.0:
-            raise ValueError(
-                "fault probabilities must be non-negative and sum to <= 1"
-            )
-        faults: dict[tuple[int, int], FaultSpec] = {}
-        for chunk in range(n_chunks):
-            for attempt in range(faulty_attempts):
-                r = float(
-                    np.random.default_rng([seed, chunk, attempt]).random()
-                )
-                if r < p_kill:
-                    faults[(chunk, attempt)] = FaultSpec("kill")
-                elif r < p_kill + p_delay:
-                    faults[(chunk, attempt)] = FaultSpec(
-                        "delay", delay_s=delay_s
-                    )
-                elif r < p_kill + p_delay + p_corrupt:
-                    faults[(chunk, attempt)] = FaultSpec("corrupt")
-        return cls(faults)
 
 
 def truncate_file(path: str | os.PathLike, *, keep_fraction: float = 0.5) -> int:

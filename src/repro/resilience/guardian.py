@@ -1,7 +1,6 @@
 """Run guardian: phase watchdog, invariant audits, degradation ladder.
 
-PR 2's supervised pool keeps individual *chunks* alive; nothing defended
-the *run*.  :class:`RunGuardian` is that missing tier — a
+:class:`RunGuardian` defends a whole agglomeration run — a
 :class:`~repro.core.engine.RunContext` service the engine consults at
 phase boundaries:
 
@@ -18,19 +17,16 @@ phase boundaries:
 * **Degradation ladder** — each watchdog breach takes the next
   applicable rung instead of dying::
 
-      spill to the out-of-core sharded backend
+      spill levels out of core
           (memory breaches only; requires ``spill_dir``)
-      process-pool backend -> serial backend
-      chunk size halving (backend rechunked)
-      audit strictness lowering (full -> sample -> off)
+      audit strictness lowering (one step: full -> sample, sample -> off)
       checkpoint-and-raise RunAbortedError
 
   The spill rung is the out-of-core escape hatch: when the guardian is
-  configured with a ``spill_dir`` and a memory-budget breach fires, the
-  live run is migrated onto the sharded backend
-  (:class:`~repro.parallel.backends.ShardedBackend`) — subsequent
-  levels stream the graph from checksummed on-disk shards with an
-  ``O(V + shard)`` anonymous working set, and results stay
+  configured with a ``spill_dir`` and a memory-budget breach fires, it
+  sets ``ctx.spill`` to a :class:`~repro.graph.csr.LevelSpiller` —
+  subsequent levels stream the graph from checksummed on-disk shards
+  with an ``O(V + shard)`` anonymous working set, and results stay
   bit-identical (docs/OUT_OF_CORE.md).  Abort is thereby demoted to the
   genuine last resort.  Every transition lands in
   :attr:`RecoveryReport.ladder`, the ``guardian.breaches`` /
@@ -41,7 +37,7 @@ phase boundaries:
 
 The default construction path (``guardian=None`` everywhere) resolves to
 the shared :data:`NULL_GUARDIAN`, whose hooks are no-ops — the unguarded
-pipeline pays nothing, and backend parity stays bit-identical.
+pipeline pays nothing.
 
 Deterministic chaos testing hooks in through
 :attr:`~repro.resilience.faults.FaultPlan.phase_faults`: ``stall`` sleeps
@@ -77,11 +73,7 @@ _log = get_logger("resilience.guardian")
 
 #: Ladder rungs, softest first.  ``abort`` is always last and always
 #: applicable.
-LADDER_RUNGS = ("serial-backend", "halve-chunks", "lower-audit", "abort")
-
-#: Cap on backend re-chunking: stop halving once a backend is already
-#: split this many chunks per worker.
-MAX_CHUNKS_PER_WORKER = 64
+LADDER_RUNGS = ("lower-audit", "abort")
 
 
 # Shared probe implementations live in repro.util.memprobe (the
@@ -242,10 +234,10 @@ class RunGuardian:
         Forwarded to :class:`InvariantAuditor`.
     spill_dir:
         Directory for the out-of-core spill rung.  ``None`` (default)
-        disables the rung — memory breaches then take the pre-existing
-        ladder unchanged.  When set, the first memory-budget breach
-        migrates the run onto the sharded backend spilling under this
-        directory instead of degrading toward abort.
+        disables the rung — memory breaches then take the regular
+        ladder.  When set, the first memory-budget breach makes the run
+        spill every later level under this directory instead of
+        degrading toward abort.
     spill_shards:
         Shard count for the spill rung's store (``None`` uses the
         store's default).
@@ -285,6 +277,7 @@ class RunGuardian:
         self.auditor = InvariantAuditor(
             audit, tolerance=tolerance, sample_every=sample_every
         )
+        self._audit = audit
         self.phase_deadline_s = phase_deadline_s
         self.memory_budget_mb = memory_budget_mb
         self.ramp_horizon_s = ramp_horizon_s
@@ -307,10 +300,13 @@ class RunGuardian:
         return True
 
     def bind(self, ctx: "RunContext", input_graph: "CommunityGraph") -> None:
-        """Attach to a run: reset the ladder and remember the input graph
-        (the reference for from-scratch quality recomputes)."""
+        """Attach to a run: reset the ladder (and the audit strictness a
+        previous run's lower-audit rung took away) and remember the
+        input graph (the reference for from-scratch quality
+        recomputes)."""
         self._ctx = ctx
         self._input_graph = input_graph
+        self.auditor.mode = self._audit
         self._rung = 0
         self._spilled = False
         self._spill_level = -1
@@ -424,13 +420,11 @@ class RunGuardian:
             "memory_budget",
             "memory_ramp",
         ):
-            if not self._spilled and not getattr(
-                ctx.backend, "sharded", False
-            ):
+            if not self._spilled and ctx.spill is None:
                 # The spill rung sits above the regular ladder and fires
                 # at most once, for memory breaches only: instead of
-                # trading away parallelism or audit strictness, move the
-                # run's working set out of core and keep going at full
+                # trading away audit strictness, move the run's working
+                # set out of core and keep going at full
                 # fidelity.  It does not consume a regular rung — if
                 # memory pressure persists even out-of-core, the
                 # ordinary ladder (and eventually abort) still stands
@@ -474,20 +468,16 @@ class RunGuardian:
         )
 
     def _spill(self, ctx: "RunContext", reason: str) -> None:
-        """Migrate the live run onto the out-of-core sharded backend.
+        """Make the live run spill its levels out of core.
 
-        The backend swap takes effect immediately; the engine spills the
-        community graph at the next level boundary and streams every
+        Setting ``ctx.spill`` takes effect immediately; the engine spills
+        the community graph at the next level boundary and streams every
         phase from the on-disk store from then on.  Results are
         bit-identical to the in-memory run (docs/OUT_OF_CORE.md).
         """
-        from repro.parallel.backends import ShardedBackend
+        from repro.graph.csr import LevelSpiller
 
-        ctx.backend = ShardedBackend(
-            spill_dir=self.spill_dir,
-            n_shards=self.spill_shards,
-            chunks_per_worker=getattr(ctx.backend, "chunks_per_worker", 1),
-        )
+        ctx.spill = LevelSpiller(self.spill_dir, n_shards=self.spill_shards)
         transition = f"spill({reason})"
         ctx.recovery.ladder.append(transition)
         ctx.recovery.spills += 1
@@ -505,24 +495,6 @@ class RunGuardian:
         self, ctx: "RunContext", rung: str, reason: str
     ) -> bool:
         """Try one rung; False means inapplicable (skip to the next)."""
-        if rung == "serial-backend":
-            if ctx.backend.n_workers <= 1:
-                return False
-            from repro.parallel.backends import SerialBackend
-
-            ctx.backend = SerialBackend(
-                chunks_per_worker=getattr(ctx.backend, "chunks_per_worker", 1)
-            )
-            return True
-        if rung == "halve-chunks":
-            rechunked = getattr(ctx.backend, "rechunked", None)
-            current = getattr(ctx.backend, "chunks_per_worker", None)
-            if rechunked is None or current is None:
-                return False
-            if current >= MAX_CHUNKS_PER_WORKER:
-                return False
-            ctx.backend = rechunked(2)
-            return True
         if rung == "lower-audit":
             if self.auditor.mode == "off":
                 return False

@@ -1,30 +1,17 @@
-"""Retry policy: how hard the pool fights for a failed chunk.
+"""Retry policy: how hard a caller fights for a failed unit of work.
 
-The escalation ladder for one chunk is fixed; the policy only sets its
-parameters:
-
-1. run the chunk in a worker process (attempt 0);
-2. on worker death, per-chunk deadline overrun, or invalid output, retry
-   in a fresh worker after a capped exponential backoff — up to
-   ``max_retries`` times;
-3. after the retry budget is spent, *degrade*: execute the chunk
-   in-process in the parent, where a crashing worker cannot take the
-   result with it.
-
-Because chunks write disjoint slices of the shared output block,
-re-execution is idempotent — a recovered run is bit-identical to a
-fault-free one, which is what the chaos suite asserts.
+The streaming service retries a failed incremental repair up to
+``max_retries`` times after a capped exponential backoff, then falls
+back to a full rerun; the policy only sets those parameters.
 
 Backoffs can additionally carry *decorrelated jitter* (``jitter=True``):
-when a shared fault (a dead worker host, a full disk, an overloaded
-service) fails many chunks at once, a deterministic schedule wakes every
-retry at the same instant and the herd stampedes the same resource
-again.  Jittered delays follow the decorrelated-jitter rule
+when a shared fault (a full disk, an overloaded service) fails many
+units at once, a deterministic schedule wakes every retry at the same
+instant and the herd stampedes the same resource again.  Jittered delays follow the decorrelated-jitter rule
 ``d_k = min(cap, uniform(base, 3·d_{k-1}))`` with the random draw keyed
 by ``(jitter_seed, token, retry)`` — a pure function of its inputs, so
-tests stay deterministic while distinct ``token`` values (the pool
-passes the chunk's offset, the streaming service its batch sequence
-number) spread retries apart in time.
+tests stay deterministic while distinct ``token`` values (the streaming
+service passes its batch sequence number) spread retries apart in time.
 """
 
 from __future__ import annotations
@@ -38,24 +25,19 @@ __all__ = ["RetryPolicy"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Parameters of the chunk-failure escalation ladder.
+    """Parameters of a capped-exponential retry schedule.
 
     Attributes
     ----------
     max_retries:
-        Worker re-executions allowed per chunk after the first attempt;
-        ``0`` means any failure degrades straight to in-process execution.
+        Re-executions allowed per unit after the first attempt; ``0``
+        means any failure goes straight to the caller's fallback.
     backoff_base_s:
         Delay before the first retry.
     backoff_factor:
         Multiplier applied per subsequent retry.
     backoff_cap_s:
         Upper bound on any single backoff delay.
-    chunk_timeout_s:
-        Per-attempt wall-clock deadline; a worker still running past it is
-        terminated and the chunk is treated as failed.  ``None`` disables
-        deadline enforcement (the default — a healthy chunk's duration is
-        workload-dependent).
     jitter:
         Randomize each delay with the decorrelated-jitter rule so
         simultaneous failures don't retry in lockstep.  Off by default:
@@ -71,7 +53,6 @@ class RetryPolicy:
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
     backoff_cap_s: float = 1.0
-    chunk_timeout_s: float | None = None
     jitter: bool = False
     jitter_seed: int = 0
 
@@ -84,14 +65,12 @@ class RetryPolicy:
             raise ValueError("backoff_factor must be at least 1")
         if self.backoff_cap_s < self.backoff_base_s:
             raise ValueError("backoff_cap_s must be at least backoff_base_s")
-        if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
-            raise ValueError("chunk_timeout_s must be positive or None")
 
     def backoff_s(self, retry: int, *, token: int = 0) -> float:
         """Backoff before the ``retry``-th re-execution (1-based).
 
-        ``token`` identifies the retrying unit (chunk offset, batch
-        sequence number, …); with :attr:`jitter` enabled, different
+        ``token`` identifies the retrying unit (e.g. a batch sequence
+        number); with :attr:`jitter` enabled, different
         tokens draw different delays so synchronized failures fan out
         instead of thundering back together.  Without jitter the token
         is ignored and the schedule is the capped exponential.
@@ -128,7 +107,7 @@ class RetryPolicy:
 
     @classmethod
     def none(cls) -> "RetryPolicy":
-        """No retries: any worker failure degrades to in-process at once."""
+        """No retries: any failure goes to the caller's fallback at once."""
         return cls(max_retries=0)
 
     @classmethod

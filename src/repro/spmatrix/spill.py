@@ -3,9 +3,9 @@
 A *spill file* holds one or more named numpy arrays behind a
 checksummed header, written atomically and reopened as zero-copy
 ``np.memmap`` views.  It is the storage layer under
-:class:`repro.graph.csr.ShardedCSRStore` and the sharded execution
-backend — everything the engine spills when a memory budget forces it
-out of core.
+:class:`repro.graph.csr.ShardedCSRStore` and its
+:class:`~repro.graph.csr.LevelSpiller` — everything the engine spills
+when a run spills its levels out of core.
 
 Layout (all little-endian)::
 

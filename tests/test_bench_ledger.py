@@ -339,10 +339,9 @@ class TestAttributionInLedger:
         )
         rep = repetition_from_run(run, 0.5)
         assert rep.attribution is not None
-        assert rep.attribution["version"] == 1
-        assert set(rep.attribution) >= {
-            "phases", "levels", "hotspots", "workers", "serial", "amdahl",
-            "consistency",
+        assert rep.attribution["version"] == 2
+        assert set(rep.attribution) == {
+            "version", "phases", "levels", "hotspots", "consistency",
         }
         assert rep.attribution["consistency"]["violations"] == []
 
@@ -362,33 +361,23 @@ class TestAttributionInLedger:
 
     def test_render_ledger_shows_attribution_block(self):
         record = make_record()
+        # A version-1 block, as committed ledgers carry it: the
+        # workers/serial/amdahl keys are ignored.
         record.repetitions[0].attribution = {
             "version": 1,
             "hotspots": [
                 {"name": "match_pass", "self_s": 0.2, "share": 0.5, "n_spans": 3}
             ],
-            "workers": {
-                "source": "worker_chunk",
-                "n_lanes": 2,
-                "n_chunks": 4,
-                "busy_s": {"1": 0.1, "2": 0.1},
-                "imbalance": 1.0,
-                "queue_wait_s": 0.01,
-                "exec_s": 0.2,
-            },
+            "workers": {"n_lanes": 2, "imbalance": 1.0},
             "serial": {"fraction": 0.25},
-            "amdahl": {
-                "serial_fraction": 0.25,
-                "n_workers": 2,
-                "ceiling_at_n": 1.6,
-                "ceiling_inf": 4.0,
-            },
+            "amdahl": {"serial_fraction": 0.25, "n_workers": 2},
             "consistency": {"checked": True, "violations": []},
         }
         text = render_ledger(record)
         assert "attribution (repetition 0):" in text
         assert "match_pass" in text
-        assert "Amdahl" in text
+        assert "consistency: OK" in text
+        assert "Amdahl" not in text
 
     def test_render_ledger_without_attribution_omits_block(self):
         text = render_ledger(make_record())

@@ -1,162 +1,30 @@
 """Chaos suite: injected faults must never change the answer.
 
-Every test here drives the supervised pool (or the checkpointed driver)
-under deterministic injected failures — killed workers, stalled workers,
-NaN-corrupted output, truncated checkpoint files — and asserts the
-recovered run is *identical* to a fault-free one.  Identity, not
-similarity: chunks write disjoint slices and re-execution is idempotent,
-so recovery is exact by construction and any drift is a bug.
+A checkpointed run whose newest checkpoint is torn mid-byte must resume
+from the previous level and reproduce the fault-free run *exactly*.
+Identity, not similarity: resume replays the same deterministic kernels
+from a persisted state, so any drift is a bug.
 
 Marked ``faultinject`` so CI runs these in a dedicated time-boxed job.
 """
 
-import gc
-import os
-from multiprocessing import shared_memory
-
 import numpy as np
 import pytest
 
-from repro.core import ModularityScorer, detect_communities
+from repro.core import detect_communities
 from repro.core.termination import TerminationCriteria
-from repro.parallel import (
-    ParallelModularityScorer,
-    SharedOutput,
-    parallel_edge_scores,
-)
-from repro.resilience import (
-    CheckpointManager,
-    FaultPlan,
-    RecoveryReport,
-    RetryPolicy,
-    truncate_file,
-)
+from repro.resilience import CheckpointManager, truncate_file
 
 pytestmark = [pytest.mark.faultinject, pytest.mark.timeout(120)]
 
-N_WORKERS = 2  # two chunks: every scenario exercises both
-
-
-def _fault_free(graph):
-    return ModularityScorer().score(graph)
-
-
-class TestWorkerDeathRecovery:
-    def test_killed_first_attempts_recover_bit_identical(self, karate):
-        report = RecoveryReport()
-        scores = parallel_edge_scores(
-            karate,
-            n_workers=N_WORKERS,
-            policy=RetryPolicy.fast(),
-            faults=FaultPlan.kill_first_attempt(range(N_WORKERS)),
-            report=report,
-        )
-        np.testing.assert_array_equal(scores, _fault_free(karate))
-        assert report.worker_deaths == N_WORKERS
-        assert report.retries == N_WORKERS
-        assert report.degraded_chunks == 0
-
-    def test_persistent_kills_degrade_to_in_process(self, karate):
-        policy = RetryPolicy.fast()
-        report = RecoveryReport()
-        scores = parallel_edge_scores(
-            karate,
-            n_workers=N_WORKERS,
-            policy=policy,
-            faults=FaultPlan.kill_every_attempt(
-                range(N_WORKERS), attempts=policy.max_retries + 1
-            ),
-            report=report,
-        )
-        np.testing.assert_array_equal(scores, _fault_free(karate))
-        assert report.degraded_chunks == N_WORKERS
-        assert report.worker_deaths == N_WORKERS * (policy.max_retries + 1)
-
-    def test_recovery_is_deterministic_across_runs(self, karate):
-        runs = []
-        for _ in range(2):
-            report = RecoveryReport()
-            scores = parallel_edge_scores(
-                karate,
-                n_workers=N_WORKERS,
-                policy=RetryPolicy.fast(),
-                faults=FaultPlan.kill_first_attempt([0]),
-                report=report,
-            )
-            runs.append((scores, report.as_dict()))
-        np.testing.assert_array_equal(runs[0][0], runs[1][0])
-        assert runs[0][1] == runs[1][1]
-
-
-class TestCorruptionRecovery:
-    def test_nan_corrupted_chunks_are_retried(self, karate):
-        report = RecoveryReport()
-        scores = parallel_edge_scores(
-            karate,
-            n_workers=N_WORKERS,
-            policy=RetryPolicy.fast(),
-            faults=FaultPlan.corrupt_first_attempt(range(N_WORKERS)),
-            report=report,
-        )
-        np.testing.assert_array_equal(scores, _fault_free(karate))
-        assert report.invalid_chunks == N_WORKERS
-        assert report.retries == N_WORKERS
-        assert np.isfinite(scores).all()
-
-
-class TestTimeoutRecovery:
-    def test_stalled_workers_hit_deadline_and_recover(self, karate):
-        policy = RetryPolicy(
-            max_retries=2,
-            backoff_base_s=0.001,
-            backoff_cap_s=0.01,
-            chunk_timeout_s=0.25,
-        )
-        report = RecoveryReport()
-        scores = parallel_edge_scores(
-            karate,
-            n_workers=N_WORKERS,
-            policy=policy,
-            faults=FaultPlan.delay_first_attempt(
-                range(N_WORKERS), delay_s=30.0
-            ),
-            report=report,
-        )
-        np.testing.assert_array_equal(scores, _fault_free(karate))
-        assert report.chunk_timeouts == N_WORKERS
-        assert report.retries == N_WORKERS
-
 
 class TestFullPipelineUnderFaults:
-    def test_detection_with_faulty_pool_matches_serial(self, karate):
-        baseline = detect_communities(karate)
-        scorer = ParallelModularityScorer(
-            N_WORKERS,
-            policy=RetryPolicy.fast(),
-            # Chunk indices restart at every level, so this kills the
-            # first attempt of every chunk of every level's scoring.
-            faults=FaultPlan.kill_first_attempt(range(N_WORKERS)),
-        )
-        result = detect_communities(karate, scorer)
-        np.testing.assert_array_equal(
-            result.partition.labels, baseline.partition.labels
-        )
-        assert result.levels == baseline.levels
-        assert result.recovery.any_recovery()
-        assert result.recovery.worker_deaths > 0
-
     def test_faulty_checkpointed_run_resumes_after_truncation(
         self, karate, tmp_path
     ):
         baseline = detect_communities(karate)
-        scorer = ParallelModularityScorer(
-            N_WORKERS,
-            policy=RetryPolicy.fast(),
-            faults=FaultPlan.corrupt_first_attempt(range(N_WORKERS)),
-        )
         partial = detect_communities(
             karate,
-            scorer,
             termination=TerminationCriteria(max_levels=2),
             checkpoint_dir=tmp_path,
         )
@@ -177,43 +45,3 @@ class TestFullPipelineUnderFaults:
             resumed.partition.labels, baseline.partition.labels
         )
         assert resumed.levels == baseline.levels
-
-
-class TestNoLeakedSegments:
-    def test_shared_output_released_on_exception(self):
-        name = None
-        with pytest.raises(RuntimeError):
-            with SharedOutput(64, np.float64) as out:
-                name = out.name
-                raise RuntimeError("mid-run failure")
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_finalizer_releases_abandoned_segment(self):
-        out = SharedOutput(64, np.float64)
-        name = out.name
-        del out
-        gc.collect()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_release_is_idempotent(self):
-        out = SharedOutput(8, np.float64)
-        out.release()
-        out.release()
-
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"), reason="needs a /dev/shm tmpfs"
-    )
-    def test_chaos_run_leaves_dev_shm_clean(self, karate):
-        gc.collect()
-        before = set(os.listdir("/dev/shm"))
-        parallel_edge_scores(
-            karate,
-            n_workers=N_WORKERS,
-            policy=RetryPolicy.fast(),
-            faults=FaultPlan.kill_first_attempt(range(N_WORKERS)),
-        )
-        gc.collect()
-        leaked = set(os.listdir("/dev/shm")) - before
-        assert leaked == set()

@@ -15,14 +15,6 @@ def make_trace():
     with tr.span("level", level=0):
         with tr.span("score", level=0) as sp:
             sp.set(items=7, scorer="modularity")
-    tr.record_span(
-        "worker_chunk",
-        start_ns=tr.spans[0].start_ns,
-        end_ns=tr.spans[0].end_ns,
-        pid=999_999,
-        lo=0,
-        hi=7,
-    )
     return tr
 
 
@@ -71,19 +63,23 @@ class TestToChromeTrace:
         assert score["args"]["scorer"] == "modularity"
         assert "span_id" in score["args"] and "parent_id" in score["args"]
 
-    def test_worker_lane_gets_own_process_track(self):
-        doc = to_chrome_trace(make_trace().spans)
-        lane = next(
-            e for e in complete_events(doc) if e["name"] == "worker_chunk"
+    def test_each_pid_gets_own_process_track(self):
+        spans = list(make_trace().spans)
+        spans.append(
+            Span(name="other", span_id=9, start_ns=0, end_ns=1, pid=999_999)
         )
-        assert lane["pid"] == 999_999
+        doc = to_chrome_trace(spans)
+        other = next(e for e in complete_events(doc) if e["name"] == "other")
+        assert other["pid"] == 999_999
         names = {
             (e["pid"], e["args"]["name"])
             for e in metadata_events(doc)
             if e["name"] == "process_name"
         }
-        assert (999_999, "worker 999999") in names
-        assert any(label == "repro (parent)" for _, label in names)
+        assert names == {
+            (spans[0].pid, f"repro (pid {spans[0].pid})"),
+            (999_999, "repro (pid 999999)"),
+        }
 
     def test_thread_name_metadata_per_lane(self):
         doc = to_chrome_trace(make_trace().spans)

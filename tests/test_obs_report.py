@@ -78,7 +78,6 @@ class TestRenderReport:
             "## Phase breakdown",
             "## Per-level timeline",
             "## Hotspots (by self-time)",
-            "## Parallel efficiency",
             "## Trace consistency",
         ):
             assert heading in md

@@ -13,7 +13,7 @@ from repro.errors import (
 )
 from repro.generators import planted_partition_graph
 from repro.graph.csr import ShardedCSRStore
-from repro.parallel.backends import ShardedBackend
+from repro.graph.csr import LevelSpiller
 
 
 class TestValidateScores:
@@ -80,11 +80,11 @@ class TestStreamedScoreGuard:
 
     def test_sharded_run_reports_the_global_edge(self, tmp_path):
         g = planted_partition_graph(500, seed=5)
-        backend = ShardedBackend(spill_dir=tmp_path, n_shards=8)
+        backend = LevelSpiller(spill_dir=tmp_path, n_shards=8)
         with pytest.raises(
             ScoreValidationError, match=r"first at edge 1000:"
         ):
-            detect_communities(g, _NaNAtEdge(1000), backend=backend)
+            detect_communities(g, _NaNAtEdge(1000), spill=backend)
         backend.release()
 
     def test_spilled_graph_names_the_window(self, tmp_path):

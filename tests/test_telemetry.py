@@ -23,8 +23,9 @@ import json
 
 import pytest
 
-from repro.core import detect_communities
+from repro.core import RunContext, detect_communities
 from repro.errors import GuardianBreach, ReproError
+from repro.graph.csr import LevelSpiller
 from repro.obs import Tracer, read_trace, write_trace
 from repro.obs.memprof import (
     NULL_MEMPROF,
@@ -38,21 +39,11 @@ from repro.obs.telemetry import (
     PHASE_IDS,
     NullTelemetry,
     TelemetrySampler,
-    _reset_worker_heartbeats,
     as_telemetry,
     read_status,
-    record_worker_heartbeat,
     render_status,
-    workers_alive,
 )
 from repro.resilience.guardian import RunGuardian
-
-
-@pytest.fixture(autouse=True)
-def fresh_heartbeats():
-    _reset_worker_heartbeats()
-    yield
-    _reset_worker_heartbeats()
 
 
 # ----------------------------------------------------------- null path
@@ -112,13 +103,29 @@ class TestSampler:
         with pytest.raises(ValueError, match="ring_size"):
             TelemetrySampler(ring_size=1)
 
+    def test_spill_state_read_from_run_context(self, karate, tmp_path):
+        tracer = Tracer()
+        sampler = TelemetrySampler(tracer, interval_s=0.01)
+        ctx = RunContext.create(tracer=tracer)
+        sampler.bind_run(ctx)
+        assert sampler.sample_once()["spill_bytes"] == 0
+        ctx.spill = LevelSpiller(tmp_path)
+        ctx.spill.prepare_level(karate, 0)
+        status = sampler.sample_once()
+        assert status["spill_bytes"] == ctx.spill.spilled_bytes > 0
+        assert status["spilled_levels"] == 1
+        assert status["open_level_stores"] == 1
+        names = {s.name for s in tracer.counter_samples}
+        assert {"spill_bytes", "open_level_stores"} <= names
+        ctx.spill.release()
+
     def test_sample_once_records_expected_series(self):
         tracer = Tracer()
         sampler = TelemetrySampler(tracer, interval_s=0.01)
         sampler.publish_phase("match", 2)
         status = sampler.sample_once()
         names = {s.name for s in tracer.counter_samples}
-        assert {"gc_collections", "workers_alive", "phase_id"} <= names
+        assert {"gc_collections", "phase_id"} <= names
         # the Linux CI box always has an RSS probe; tolerate its absence
         if status["rss_mb"] is not None:
             assert "rss_anon_mb" in names
@@ -240,22 +247,6 @@ class TestLifecycle:
         ).start()
         sampler.stop(state="failed")
         assert read_status(status_path)["state"] == "failed"
-
-
-# --------------------------------------------------- worker heartbeats
-class TestWorkerHeartbeats:
-    def test_liveness_window(self):
-        record_worker_heartbeat(111)
-        record_worker_heartbeat(222)
-        assert workers_alive() == 2
-        # shrink the window to zero-ish: everything is stale
-        assert workers_alive(window_s=0.0) in (0, 1, 2)  # racy lower bound
-        assert workers_alive(window_s=1e-9, now_ns=2**62) == 0
-
-    def test_rerecord_refreshes(self):
-        record_worker_heartbeat(333)
-        record_worker_heartbeat(333)
-        assert workers_alive() == 1
 
 
 # ------------------------------------------------------ status + watch
