@@ -13,7 +13,13 @@ import pytest
 
 from repro.errors import SpillError
 from repro.generators import planted_partition_graph
-from repro.graph.csr import EdgeShard, ShardedCSRStore, _shard_ranges
+from repro.graph.csr import (
+    DEFAULT_SHARDS,
+    EdgeShard,
+    ShardedCSRStore,
+    _ranges_of,
+    _shard_ranges,
+)
 from repro.spmatrix.spill import (
     SPILL_MAGIC,
     read_spill,
@@ -130,6 +136,54 @@ class TestShardRanges:
 
     def test_empty_graph_single_empty_shard(self):
         assert _shard_ranges(0) == [(0, 0)]
+
+    @pytest.mark.parametrize(
+        "n_edges, n_shards",
+        [
+            (1, 1), (1, 8), (7, 3), (8, 4),
+            (10, 16), (100, 7), (1000, 8), (999, 1),
+        ],
+    )
+    def test_every_split_tiles_in_equal_windows(self, n_edges, n_shards):
+        ranges = _shard_ranges(n_edges, n_shards=n_shards)
+        assert ranges[0][0] == 0
+        assert ranges[-1][1] == n_edges
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert 1 <= len(ranges) <= min(n_edges, n_shards)
+        size = -(-n_edges // n_shards)
+        assert all(hi - lo == size for lo, hi in ranges[:-1])
+        assert 1 <= ranges[-1][1] - ranges[-1][0] <= size
+
+    @pytest.mark.parametrize(
+        "n_edges, cap", [(10, 1), (10, 3), (10, 10), (10, 100)]
+    )
+    def test_shard_edges_caps_every_window(self, n_edges, cap):
+        ranges = _shard_ranges(n_edges, shard_edges=cap)
+        assert len(ranges) == -(-n_edges // cap)
+        assert all(hi - lo == cap for lo, hi in ranges[:-1])
+        assert 1 <= ranges[-1][1] - ranges[-1][0] <= cap
+        assert ranges[-1][1] == n_edges
+
+    def test_default_count(self):
+        assert len(_shard_ranges(10_000)) == DEFAULT_SHARDS
+
+
+class TestRangesOf:
+    def test_in_memory_graph_is_one_window(self, sbm):
+        assert _ranges_of(sbm) == [(0, sbm.n_edges)]
+
+    def test_spilled_graph_uses_its_shard_table(self, sbm, tmp_path):
+        store = ShardedCSRStore.spill(sbm, tmp_path / "g", n_shards=5)
+        assert _ranges_of(store.as_graph()) == store.shard_ranges
+        assert len(store.shard_ranges) == 5
+        store.cleanup()
+
+    def test_explicit_cap_wins_over_the_shard_table(self, sbm, tmp_path):
+        store = ShardedCSRStore.spill(sbm, tmp_path / "g", n_shards=5)
+        ranges = _ranges_of(store.as_graph(), shard_edges=100)
+        assert ranges == _shard_ranges(sbm.n_edges, shard_edges=100)
+        assert _ranges_of(sbm, shard_edges=100) == ranges
+        store.cleanup()
 
 
 class TestShardedCSRStore:
