@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.errors import ConvergenceError
 from repro.graph.csr import _ranges_of, _Scratch
-from repro.graph.edgelist import EdgeList
+from repro.graph.edgelist import EdgeList, stable_key_sort
 from repro.graph.graph import CommunityGraph
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import KernelRecord, TraceRecorder
@@ -68,16 +68,20 @@ __all__ = [
 
 _SENTINEL_EDGE = np.iinfo(np.int64).max
 _MIX_MULTIPLIER = np.int64(-7046029254386353131)  # 0x9E3779B97F4A7C15 as int64
+#: The multiplier's inverse mod 2**64, so ``_edge_priority`` can be undone.
+_MIX_INVERSE = np.int64(-1018231460777725123)  # 0xF1DE83E19937733D as int64
 
 #: The worklist kernel switches to its cursor phase once its vectorized
 #: passes have scanned at least this many times the residual live edges
 #: and the last pass removed less than 1/this of the live edges it saw.
-#: Building the cursor phase (a lexsort of the residual edges plus a
-#: stable argsort of their endpoints) costs about 7-9 vectorized-pass
-#: scans per residual edge (2-vCPU x86-64 VM, NumPy 2.4, 541k residual
-#: edges).  The first condition caps that set-up at about half the scans
-#: already made; the second waits until a pass drains so little that, at
-#: that rate, 16 more passes would scan about 10 times the residual edges.
+#: Building the cursor phase (a sort of the residual edges' hashed
+#: priorities, a stable argsort by score and a packed sort of their
+#: endpoints) costs 310-360 ns per residual edge, about 5-7
+#: vectorized-pass scans (2-vCPU x86-64 VM, NumPy 2.4, the 541k residual
+#: edges of sbm-100k; one pass over them costs 47-68 ns per edge).  The
+#: first condition caps that set-up at under half the scans already
+#: made; the second waits until a pass drains so little that, at that
+#: rate, 16 more passes would scan about 10 times the residual edges.
 #: No level of an R-MAT 17 graph switches.  Both conditions are observed
 #: work counts.
 _CURSOR_SWITCH = 16
@@ -222,17 +226,21 @@ def _claim_pass(
     np.minimum.at(best_edge, v[at_v], prio[at_v])
 
     # An edge wins when both endpoints chose it (the two-sided claim).
-    mutual = (best_edge[u] == prio) & (best_edge[v] == prio)
+    chosen_u = best_edge[u] == prio  # this edge is u's chosen claim
+    chosen_v = best_edge[v] == prio
+    mutual = chosen_u & chosen_v
     n_new = int(np.count_nonzero(mutual))
     if n_new == 0:
         raise ConvergenceError(
             "no locally dominant edge found among live edges; "
             "scores may contain NaN"
         )
-
-    chosen_u = best_edge[u] == prio  # this edge is u's chosen claim
-    chosen_v = best_edge[v] == prio
-    failed = int(np.count_nonzero((chosen_u | chosen_v) & ~mutual))
+    # Every chosen edge that is not mutual is one endpoint's failed claim.
+    failed = (
+        int(np.count_nonzero(chosen_u))
+        + int(np.count_nonzero(chosen_v))
+        - 2 * n_new
+    )
 
     mu = u[mutual]
     mv = v[mutual]
@@ -271,8 +279,14 @@ class _RankedIncidence:
         self, e: EdgeList, scores: np.ndarray, live: np.ndarray, n: int
     ) -> None:
         # The kernel's strict total order: score descending, then hashed
-        # priority ascending.
-        ranked = live[np.lexsort((_edge_priority(live), -scores[live]))]
+        # priority ascending.  The hash is a bijection, so sorting the
+        # priorities and multiplying by the inverse lists the edges in
+        # priority order; a stable sort by score then keeps that order
+        # among equal scores.  The two single-key sorts take about half
+        # the time of one two-key lexsort.
+        ranked = np.sort(_edge_priority(live))
+        ranked *= _MIX_INVERSE  # wraps modulo 2**64, as the hash does
+        ranked = ranked[np.argsort(-scores[ranked], kind="stable")]
         ends = np.empty(2 * len(ranked), dtype=e.ei.dtype)
         ends[0::2] = e.ei[ranked]
         ends[1::2] = e.ej[ranked]
@@ -281,7 +295,7 @@ class _RankedIncidence:
         # A stable sort by vertex keeps each vertex's entries in rank
         # order.  Slot ``p`` of ``ends`` is an endpoint of ranked edge
         # ``p >> 1``; its far end sits in slot ``p ^ 1``.
-        perm = np.argsort(ends, kind="stable")
+        _, perm = stable_key_sort(ends.astype(np.int64), (n - 1).bit_length())
         perm ^= 1
         self.other = ends[perm]
         del ends
@@ -644,10 +658,12 @@ def _streamed_passes(
                     chosen_u = best_edge[u] == prio
                     chosen_v = best_edge[v] == prio
                     mutual = chosen_u & chosen_v
-                    n_new += int(np.count_nonzero(mutual))
-                    failed += int(
-                        np.count_nonzero((chosen_u | chosen_v) & ~mutual)
+                    n_mutual = int(np.count_nonzero(mutual))
+                    n_chosen = int(np.count_nonzero(chosen_u)) + int(
+                        np.count_nonzero(chosen_v)
                     )
+                    n_new += n_mutual
+                    failed += n_chosen - 2 * n_mutual
                     mu = u[mutual]
                     mv = v[mutual]
                     partner[mu] = mv
@@ -662,9 +678,7 @@ def _streamed_passes(
                         else:
                             touched[v[chosen_u]] = True
                             touched[u[chosen_v]] = True
-                            n_proposals += int(
-                                np.count_nonzero(chosen_u)
-                            ) + int(np.count_nonzero(chosen_v))
+                            n_proposals += n_chosen
                 if n_new == 0:
                     raise ConvergenceError(
                         "no locally dominant edge found among live edges; "

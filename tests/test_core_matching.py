@@ -281,3 +281,80 @@ class TestWorklistWorkCounts:
         res = match_locally_dominant(g, ModularityScorer().score(g), rec)
         assert res.passes == 10
         assert rec.total_items("match_pass") == 17757
+
+
+class TestCursorRanking:
+    """The cursor phase's per-vertex ranking against a Python oracle."""
+
+    @staticmethod
+    def priority(k):
+        """The hashed tie-break priority, in Python integers."""
+        p = (k * 0x9E3779B97F4A7C15) % 2**64
+        return p - 2**64 if p >= 2**63 else p
+
+    def test_multiplier_inverse(self):
+        from repro.core.matching import _MIX_INVERSE, _MIX_MULTIPLIER
+
+        assert (int(_MIX_MULTIPLIER) * int(_MIX_INVERSE)) % 2**64 == 1
+
+    def test_priority_oracle_matches_kernel(self):
+        from repro.core.matching import _edge_priority
+
+        idx = np.array([0, 1, 2, 3, 1000, 2**31, 2**40 + 7], dtype=np.int64)
+        assert _edge_priority(idx).tolist() == [self.priority(k) for k in idx.tolist()]
+
+    def ranked_entries(self, g, scores, live):
+        from repro.core.matching import _RankedIncidence
+
+        inc = _RankedIncidence(g.edges, scores, live, g.n_vertices)
+        return {
+            v: list(zip(
+                inc.edge[inc.cursor[v]:inc.end[v]].tolist(),
+                inc.other[inc.cursor[v]:inc.end[v]].tolist(),
+            ))
+            for v in range(g.n_vertices)
+        }
+
+    def oracle_entries(self, g, scores, live):
+        e = g.edges
+        entries = {v: [] for v in range(g.n_vertices)}
+        for k in live.tolist():
+            i, j = int(e.ei[k]), int(e.ej[k])
+            entries[i].append((k, j))
+            entries[j].append((k, i))
+        for v in entries:
+            entries[v].sort(key=lambda t: (-scores[t[0]], self.priority(t[0])))
+        return entries
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        rng = np.random.default_rng(4)
+        i = rng.integers(0, 60, 900)
+        j = rng.integers(0, 60, 900)
+        keep = i != j
+        return from_edges(i[keep], j[keep])
+
+    @pytest.mark.parametrize(
+        "case", ["all-equal", "two-scores", "distinct", "negative-priority"]
+    )
+    def test_entry_order_matches_python_sort(self, graph, case):
+        rng = np.random.default_rng(9)
+        m = graph.n_edges
+        scores = {
+            "all-equal": np.full(m, 0.5),
+            "two-scores": rng.choice([0.25, 0.75], m),
+            "distinct": rng.random(m) + 0.1,
+            "negative-priority": rng.choice([0.25, 0.75], m),
+        }[case]
+        live = np.sort(rng.choice(m, m * 2 // 3, replace=False))
+        if case == "negative-priority":
+            live = np.array(
+                [k for k in live.tolist() if self.priority(k) < 0], dtype=np.int64
+            )
+        prio = [self.priority(k) for k in live.tolist()]
+        # Hashed priorities wrap negative (and, but for the last case,
+        # also stay positive).
+        assert min(prio) < 0 and (case == "negative-priority") == (max(prio) < 0)
+        assert self.ranked_entries(graph, scores, live) == self.oracle_entries(
+            graph, scores, live
+        )

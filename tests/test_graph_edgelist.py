@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import InvariantViolation
-from repro.graph.edgelist import EdgeList, group_pairs, parity_canonical
+from repro.graph.edgelist import (
+    EdgeList,
+    group_pairs,
+    parity_canonical,
+    stable_key_sort,
+)
 from repro.types import VERTEX_DTYPE
 
 
@@ -33,6 +38,27 @@ class TestParityCanonical:
         f2, s2 = parity_canonical(j, i)
         np.testing.assert_array_equal(f1, f2)
         np.testing.assert_array_equal(s1, s2)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            np.random.default_rng(11).integers(0, 1000, 400),
+            np.array([0, 1, 2, 3, 2**40, 2**40 + 1, 2**40 - 1]),
+        ],
+        ids=["random", "extreme"],
+    )
+    def test_matches_definition(self, ids):
+        """§IV-A: same parity stores (min, max), mixed parity (max, min)."""
+        i, j = (a.ravel() for a in np.meshgrid(ids, ids))
+        off = i != j
+        i, j = i[off], j[off]
+        first, second = parity_canonical(i, j)
+        expected = [
+            (min(a, b), max(a, b)) if (a - b) % 2 == 0 else (max(a, b), min(a, b))
+            for a, b in zip(i.tolist(), j.tolist())
+        ]
+        assert list(zip(first.tolist(), second.tolist())) == expected
+        assert first.dtype == second.dtype == VERTEX_DTYPE
 
     def test_scatters_hub_edges(self):
         """A hub's edges must land in multiple buckets, not one."""
@@ -128,9 +154,75 @@ class TestGroupPairs:
         np.testing.assert_array_equal(s, [1, width - 1])
         np.testing.assert_array_equal(inverse, [1, 0, 1])
 
+    @staticmethod
+    def assert_matches_oracle(first, second, width, w=None):
+        """Compare with grouping the pairs as Python tuples."""
+        if w is None:
+            w = np.random.default_rng(len(first)).random(len(first))
+        pairs = list(zip(first.tolist(), second.tolist()))
+        distinct = sorted(set(pairs))
+        group = {pair: g for g, pair in enumerate(distinct)}
+        sums = [0.0] * len(distinct)
+        for pair, weight in zip(pairs, w.tolist()):
+            sums[group[pair]] += weight
+        f, s, inverse = group_pairs(first, second, width)
+        assert f.dtype == s.dtype == VERTEX_DTYPE
+        assert inverse.dtype == np.intp
+        assert list(zip(f.tolist(), s.tolist())) == distinct
+        assert inverse.tolist() == [group[pair] for pair in pairs]
+        assert np.bincount(inverse, weights=w).tolist() == sums
+
+    def test_single_pair(self):
+        self.assert_matches_oracle(np.array([3]), np.array([1]), 4)
+
+    def test_all_duplicates(self):
+        self.assert_matches_oracle(np.full(50, 7), np.full(50, 2), 8)
+
+    def test_all_distinct(self):
+        first, second = np.divmod(np.random.default_rng(2).permutation(400), 20)
+        self.assert_matches_oracle(first, second, 20)
+
+    def test_reversed_input(self):
+        first, second = np.divmod(np.arange(300)[::-1] // 3, 10)
+        self.assert_matches_oracle(first, second, 10)
+
+    # Packing needs bit_length(width**2 - 1) + bit_length(m - 1) <= 63.
+    # At width 2**29 the keys take 58 bits; 17 pairs take 5 index bits.
+    @pytest.mark.parametrize(
+        "width, m",
+        [(2**29, 17), (2**29, 33), (2**29 + 1, 17)],
+        ids=["packs-in-63-bits", "64-bits-by-m", "64-bits-by-width"],
+    )
+    def test_both_sides_of_packing_bound(self, width, m):
+        rng = np.random.default_rng(m)
+        first = rng.integers(0, width, m)
+        second = rng.integers(0, width, m)
+        # The largest key, twice, and keys on both sides of 2**58.
+        first[:4] = [width - 1, 0, width - 1, 2**29 - 1]
+        second[:4] = [width - 1, 0, width - 1, 2**29 - 1]
+        self.assert_matches_oracle(first, second, width)
+
     def test_width_past_int64_bound_raises(self):
         with pytest.raises(OverflowError, match="3037000500.*3037000499"):
             group_pairs(np.array([0]), np.array([1]), 3_037_000_500)
+
+
+class TestStableKeySort:
+    @pytest.mark.parametrize("key_bits", [8, 63 - 10, 63 - 9])
+    def test_equals_stable_argsort(self, key_bits):
+        """Both sides of the packing bound: 1000 keys take 10 index bits."""
+        rng = np.random.default_rng(key_bits)
+        key = rng.integers(0, 2**key_bits, 1000, dtype=np.int64)
+        key[:300] = key[300:600]  # ties keep input order
+        key[0] = 2**key_bits - 1
+        expected = np.argsort(key, kind="stable")
+        sorted_key, order = stable_key_sort(key.copy(), key_bits)
+        np.testing.assert_array_equal(order, expected)
+        np.testing.assert_array_equal(sorted_key, key[expected])
+
+    def test_empty(self):
+        sorted_key, order = stable_key_sort(np.empty(0, np.int64), 5)
+        assert len(sorted_key) == len(order) == 0
 
 
 class TestBuckets:
