@@ -48,7 +48,7 @@ from repro.generators import (
     planted_partition_graph,
     rmat_graph,
 )
-from repro.obs import QualityTimeline, Tracer
+from repro.obs import Tracer
 from repro.obs.sinks import phase_totals
 
 __all__ = ["suite_graphs", "run_shootout", "main"]
@@ -105,10 +105,8 @@ def run_shootout(
         cell_total = 0.0
         cell_spans = []
         cell_levels = 0
-        timeline = QualityTimeline()
         for graph_name, graph in graphs:
             tracer = Tracer()
-            timeline = QualityTimeline()
             t0 = time.perf_counter()
             run = run_with_trace(
                 graph,
@@ -117,7 +115,6 @@ def run_shootout(
                 matcher=matcher,
                 contractor=contractor,
                 tracer=tracer,
-                timeline=timeline,
             )
             cell_total += time.perf_counter() - t0
             # Parity gate: every pair must land on the identical
@@ -143,7 +140,7 @@ def run_shootout(
                 # Keep the last graph's timeline as the quality block so
                 # compare/trend see a final modularity; parity means it
                 # is identical across cells.
-                quality=timeline.as_dict(),
+                quality=run.timeline.as_dict(),
                 peak_rss_bytes=peak_rss_bytes(),
                 n_levels=cell_levels,
                 n_communities=0,

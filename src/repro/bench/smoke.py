@@ -32,7 +32,7 @@ from repro.cli import positive_float, positive_int
 from repro.core.registry import kernel_names
 from repro.generators import planted_partition_graph
 from repro.graph.csr import LevelSpiller
-from repro.obs import QualityTimeline, Tracer
+from repro.obs import Tracer
 from repro.resilience.guardian import RunGuardian
 from repro.resilience.invariants import AUDIT_MODES
 
@@ -118,7 +118,6 @@ def run_smoke(
     )
     for _ in range(reps):
         tracer = Tracer()
-        timeline = QualityTimeline()
         # Fresh guardian per repetition: the ladder position and audit
         # counters must not leak across timed runs.
         guardian = (
@@ -154,7 +153,6 @@ def run_smoke(
                 matcher=matcher,  # type: ignore[arg-type]
                 contractor=contractor,  # type: ignore[arg-type]
                 tracer=tracer,
-                timeline=timeline,
                 spill=spill,
                 guardian=guardian,
                 telemetry=sampler,

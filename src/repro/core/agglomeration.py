@@ -8,7 +8,7 @@ matching of positively-scored community pairs.
 
 The loop itself lives in :mod:`repro.core.engine` — a
 :class:`~repro.core.engine.RunContext` carries the cross-cutting
-services (tracer, timeline, recovery, checkpoints, level spiller), phase
+services (tracer, recovery, checkpoints, level spiller), phase
 kernels resolve by name through :mod:`repro.core.registry`, and
 :class:`~repro.core.engine.AgglomerationEngine` drives them.  This
 module keeps the historical one-call entry point:
@@ -40,7 +40,6 @@ from repro.graph.csr import LevelSpiller
 from repro.graph.graph import CommunityGraph
 from repro.obs.memprof import NullMemoryProfiler, PhaseMemoryProfiler
 from repro.obs.telemetry import NullTelemetry, TelemetrySampler
-from repro.obs.timeline import NullTimeline, QualityTimeline
 from repro.obs.trace import NullTracer, Tracer
 from repro.platform.kernels import TraceRecorder
 from repro.resilience.guardian import NullGuardian, RunGuardian
@@ -60,7 +59,6 @@ def detect_communities(
     contractor: str = "bucket",
     recorder: TraceRecorder | None = None,
     tracer: Tracer | NullTracer | None = None,
-    timeline: QualityTimeline | NullTimeline | None = None,
     progress: Callable[[LevelStats], None] | None = None,
     checkpoint_dir: str | os.PathLike | None = None,
     resume: bool = False,
@@ -103,13 +101,6 @@ def detect_communities(
         ``"contract"`` children, plus a ``"checkpoint_write"`` span per
         persisted level).  ``None`` uses the zero-overhead
         :data:`~repro.obs.NULL_TRACER`.
-    timeline:
-        Optional :class:`repro.obs.QualityTimeline` recording one
-        algorithm-quality sample per completed level (modularity,
-        coverage, community count, merge fraction, matching passes,
-        community-size histogram).  ``None`` uses the no-op
-        :data:`~repro.obs.NULL_TIMELINE`.  On ``resume`` the timeline
-        covers only the levels executed in this process.
     progress:
         Optional callback invoked with each level's :class:`LevelStats`
         as it completes (long runs, CLI verbosity).
@@ -152,7 +143,10 @@ def detect_communities(
         Final partition of the input graph, dendrogram, per-level stats,
         the terminal community graph, the reason the loop stopped, and
         the :class:`~repro.resilience.RecoveryReport` of recovery actions
-        taken along the way.
+        taken along the way.  The per-level quality trajectory
+        (modularity, coverage, community count, merge fraction, matching
+        passes, community-size histogram) is
+        :meth:`repro.obs.QualityTimeline.from_result` of this result.
     """
     engine = AgglomerationEngine(
         scorer,
@@ -162,7 +156,6 @@ def detect_communities(
     )
     ctx = RunContext.create(
         tracer=tracer,
-        timeline=timeline,
         spill=spill,
         recorder=recorder,
         checkpoint_dir=checkpoint_dir,

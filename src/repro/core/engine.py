@@ -5,19 +5,25 @@ over a shrinking community graph (§III) — and this module is that
 pipeline as an explicit composition instead of a monolithic loop:
 
 * :class:`RunContext` owns every cross-cutting service a run needs
-  (tracer, quality timeline, recovery report, checkpoint manager,
-  simulated-work recorder, level spiller, progress callback, RNG seed,
-  logger) and is passed **once** through every layer, replacing
-  the ad-hoc kwarg plumbing the driver had grown.
+  (tracer, recovery report, checkpoint manager, simulated-work
+  recorder, level spiller, progress callback, RNG seed, logger,
+  guardian, telemetry, memory profiler) and is passed **once** through
+  every layer, replacing the ad-hoc kwarg plumbing the driver had
+  grown.  :meth:`RunContext.phase` is the one channel through which a
+  phase reaches those services: it opens the phase span, publishes the
+  phase to telemetry, and runs the guardian's watchdog and the memory
+  profiler's probe around the phase body.
 * :class:`PhaseKernel` is the one protocol scorers, matchers and
   contractors plug in behind; concrete kernels resolve by name through
   :mod:`repro.core.registry`, so ablation variants and user kernels are
   a registration away.
 * :class:`AgglomerationEngine` runs the loop: termination checks,
   per-level spans, the ``max_community_size`` veto, dendrogram and
-  member-count bookkeeping, checkpoint/resume, and the quality
-  timeline — everything that is *driver* policy rather than kernel
-  arithmetic.
+  member-count bookkeeping, and checkpoint/resume — everything that is
+  *driver* policy rather than kernel arithmetic.  Each level leaves one
+  record, its :class:`LevelStats`; the per-level quality timeline is
+  derived from those and the dendrogram after the run
+  (:meth:`repro.obs.QualityTimeline.from_result`).
 
 Out-of-core execution is a property of the graph, not of a kernel
 name: when ``ctx.spill`` holds a :class:`~repro.graph.csr.LevelSpiller`
@@ -33,8 +39,9 @@ the layer diagram and extension guide.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -61,7 +68,6 @@ from repro.obs.telemetry import (
     TelemetrySampler,
     as_telemetry,
 )
-from repro.obs.timeline import NullTimeline, QualityTimeline, as_timeline
 from repro.obs.trace import NullTracer, Tracer, as_tracer
 from repro.platform.kernels import TraceRecorder
 from repro.resilience.checkpoint import CheckpointManager, CheckpointState
@@ -168,14 +174,12 @@ class RunContext:
 
     Built once (usually via :meth:`create`) and passed through every
     layer — engine, phase kernels, guardian — so no layer re-plumbs
-    tracer/timeline/recovery/checkpoint arguments individually.
+    tracer/recovery/checkpoint arguments individually.
 
     Attributes
     ----------
     tracer:
         Wall-clock span tracer (normalized; never ``None``).
-    timeline:
-        Per-level quality timeline (normalized; never ``None``).
     spill:
         Level spiller; when set, the engine spills each level's graph
         through it before scoring.  ``None`` (default) keeps every
@@ -209,7 +213,6 @@ class RunContext:
     """
 
     tracer: Tracer | NullTracer
-    timeline: QualityTimeline | NullTimeline
     spill: LevelSpiller | None = None
     recovery: RecoveryReport = field(default_factory=RecoveryReport)
     recorder: TraceRecorder | None = None
@@ -227,7 +230,6 @@ class RunContext:
         cls,
         *,
         tracer: Tracer | NullTracer | None = None,
-        timeline: QualityTimeline | NullTimeline | None = None,
         spill: LevelSpiller | None = None,
         recorder: TraceRecorder | None = None,
         recovery: RecoveryReport | None = None,
@@ -244,7 +246,6 @@ class RunContext:
             raise ValueError("checkpoint_every must be at least 1")
         return cls(
             tracer=as_tracer(tracer),
-            timeline=as_timeline(timeline),
             spill=spill,
             recovery=recovery if recovery is not None else RecoveryReport(),
             recorder=recorder,
@@ -260,6 +261,33 @@ class RunContext:
             telemetry=as_telemetry(telemetry),
             memprof=as_memprof(memprof),
         )
+
+    @contextmanager
+    def phase(self, name: str, level: int) -> Iterator[Any]:
+        """Run one ``score``/``match``/``contract`` phase of ``level``.
+
+        Publishes the phase to telemetry, opens its span (yielding the
+        span handle), and — when the run has them — enters the
+        guardian's phase watchdog (fault injection on entry; deadline,
+        RSS and ramp checks on clean exit) and the memory profiler's
+        probe.  The probe records before the watchdog checks, and the
+        checks run before the span closes, so a ``guardian_breach``
+        span nests inside the phase it fired in.
+        """
+        self.telemetry.publish_phase(name, level)
+        with self.tracer.span(name, level=level) as sp:
+            guard: AbstractContextManager[Any] = (
+                self.guardian.phase(name, level)
+                if isinstance(self.guardian, RunGuardian)
+                else nullcontext()
+            )
+            probe: AbstractContextManager[Any] = (
+                self.memprof.phase(name)
+                if isinstance(self.memprof, PhaseMemoryProfiler)
+                else nullcontext()
+            )
+            with guard, probe:
+                yield sp
 
 
 # ----------------------------------------------------------------- kernels
@@ -434,8 +462,7 @@ class AgglomerationEngine:
             ctx = RunContext.create()
         tr = ctx.tracer
         termination = self.termination
-        guard = as_guardian(ctx.guardian)
-        guard.bind(ctx, graph)
+        ctx.guardian.bind(ctx, graph)
         # The live-telemetry sampler reads spill/recovery state off the
         # context every tick, so the guardian's spill rung is visible
         # immediately; the engine publishes phase transitions.
@@ -492,7 +519,6 @@ class AgglomerationEngine:
                             dendrogram,
                             member_counts,
                             level_idx=len(levels),
-                            guard=guard,
                         )
                     )
                     if stats is None:
@@ -568,7 +594,6 @@ class AgglomerationEngine:
         member_counts: np.ndarray,
         *,
         level_idx: int,
-        guard: RunGuardian | NullGuardian = NULL_GUARDIAN,
     ) -> tuple[
         LevelStats | None, CommunityGraph, np.ndarray, str | None
     ]:
@@ -581,6 +606,7 @@ class AgglomerationEngine:
         (coverage, stall) fired.
         """
         tr = ctx.tracer
+        guard = ctx.guardian
         termination = self.termination
         entering_v = current.n_vertices
         entering_e = current.n_edges
@@ -593,12 +619,8 @@ class AgglomerationEngine:
                 # bit-identical; see docs/OUT_OF_CORE.md).
                 current = ctx.spill.prepare_level(current, level_idx, tracer=tr)
 
-            ctx.telemetry.publish_phase("score", level_idx)
-            with tr.span("score", level=level_idx) as sp:
-                with guard.phase("score", level_idx), ctx.memprof.phase(
-                    "score", level_idx
-                ):
-                    scores = self.score_kernel.run(ctx, current)
+            with ctx.phase("score", level_idx) as sp:
+                scores = self.score_kernel.run(ctx, current)
                 if termination.max_community_size is not None:
                     e = current.edges
                     too_big = (
@@ -607,22 +629,12 @@ class AgglomerationEngine:
                     )
                     scores = np.where(too_big, -np.inf, scores)
                 n_positive = int(np.count_nonzero(scores > 0))
-                sp.set(
-                    items=entering_e,
-                    scorer=self.score_kernel.name,
-                    n_positive=n_positive,
-                )
+                sp.set(items=entering_e)
             if n_positive == 0:
                 return None, current, member_counts, "local_maximum"
 
-            ctx.telemetry.publish_phase("match", level_idx)
-            with tr.span("match", level=level_idx) as sp:
-                with guard.phase("match", level_idx), ctx.memprof.phase(
-                    "match", level_idx
-                ):
-                    matching = self.match_kernel.run(
-                        ctx, current, scores=scores
-                    )
+            with ctx.phase("match", level_idx) as sp:
+                matching = self.match_kernel.run(ctx, current, scores=scores)
                 guard.observe_matching(level_idx, matching, entering_v)
                 max_pairs = current.n_vertices - termination.min_communities
                 limited = matching.n_pairs > max_pairs
@@ -630,22 +642,13 @@ class AgglomerationEngine:
                     matching = _limit_matching(
                         matching, scores, max_pairs, current.edges
                     )
-                sp.set(
-                    items=n_positive,
-                    n_pairs=matching.n_pairs,
-                    passes=matching.passes,
-                    failed_claims=matching.failed_claims,
-                )
+                sp.set(items=n_positive, failed_claims=matching.failed_claims)
 
             before = current
-            ctx.telemetry.publish_phase("contract", level_idx)
-            with tr.span("contract", level=level_idx) as sp:
-                with guard.phase("contract", level_idx), ctx.memprof.phase(
-                    "contract", level_idx
-                ):
-                    current, mapping = self.contract_kernel.run(
-                        ctx, current, matching=matching
-                    )
+            with ctx.phase("contract", level_idx) as sp:
+                current, mapping = self.contract_kernel.run(
+                    ctx, current, matching=matching
+                )
                 sp.set(
                     items=entering_e,
                     n_vertices_after=current.n_vertices,
@@ -667,7 +670,6 @@ class AgglomerationEngine:
             if ctx.recorder is not None:
                 ctx.recorder.next_level()
 
-            cov = current.coverage()
             stats = LevelStats(
                 level=level_idx,
                 n_vertices=entering_v,
@@ -675,18 +677,17 @@ class AgglomerationEngine:
                 n_positive_scores=n_positive,
                 n_pairs=matching.n_pairs,
                 matching_passes=matching.passes,
-                coverage_after=cov,
+                coverage_after=current.coverage(),
                 modularity_after=community_graph_modularity(current),
             )
             guard.audit_quality(
                 level_idx,
                 partition=dendrogram.final_partition,
                 tracked_modularity=stats.modularity_after,
-                tracked_coverage=cov,
+                tracked_coverage=stats.coverage_after,
             )
             level_span.set(
-                n_pairs=matching.n_pairs,
-                coverage_after=cov,
+                **{k: v for k, v in vars(stats).items() if k != "level"}
             )
             # Observed inside the level span so the metric's provenance
             # nests with the spans it describes in exported traces.
@@ -694,19 +695,11 @@ class AgglomerationEngine:
                 matching.passes
             )
 
-        ctx.timeline.record_level(
-            level=stats.level,
-            n_vertices_entering=entering_v,
-            n_pairs=matching.n_pairs,
-            matching_passes=matching.passes,
-            n_communities=current.n_vertices,
-            modularity=stats.modularity_after,
-            coverage=cov,
-            member_counts=member_counts,
-        )
-
         terminated_by: str | None = None
-        if termination.coverage is not None and cov >= termination.coverage:
+        if (
+            termination.coverage is not None
+            and stats.coverage_after >= termination.coverage
+        ):
             terminated_by = "coverage"
         elif (
             termination.min_merge_fraction is not None

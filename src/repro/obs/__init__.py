@@ -8,7 +8,7 @@ Four layers:
   exportable in Prometheus text format;
 * :mod:`repro.obs.timeline` — :class:`QualityTimeline`, the per-level
   algorithm-quality trajectory (modularity, coverage, merge fraction)
-  that the benchmark ledger embeds;
+  derived from a finished run, which the benchmark ledger embeds;
 * :mod:`repro.obs.sinks` — schema-versioned JSONL export
   (:func:`write_trace` / :func:`read_trace`) and the per-level console
   profile table (:func:`render_profile`);
@@ -70,13 +70,7 @@ from repro.obs.telemetry import (
     read_status,
     render_status,
 )
-from repro.obs.timeline import (
-    NULL_TIMELINE,
-    LevelQuality,
-    NullTimeline,
-    QualityTimeline,
-    as_timeline,
-)
+from repro.obs.timeline import LevelQuality, QualityTimeline
 from repro.obs.trace import (
     NULL_TRACER,
     CounterSample,
@@ -95,9 +89,6 @@ __all__ = [
     "as_tracer",
     "LevelQuality",
     "QualityTimeline",
-    "NullTimeline",
-    "NULL_TIMELINE",
-    "as_timeline",
     "Counter",
     "Gauge",
     "Histogram",

@@ -3,9 +3,9 @@
 The telemetry sampler (:mod:`repro.obs.telemetry`) answers *how much*
 memory a run used over time; this module answers *which phase and which
 allocation sites* the memory came from.  A :class:`PhaseMemoryProfiler`
-wraps each score/match/contract execution (the engine drives it through
-``RunContext.memprof``, mirroring the guardian's phase hook) and
-records, per phase kind:
+wraps each score/match/contract execution — the engine's one phase
+channel, :meth:`~repro.core.engine.RunContext.phase`, enters its probe
+inside the guardian's watchdog — and records, per phase kind:
 
 * the **net allocation delta** across the phase (traced current memory
   at exit minus entry — negative when a phase frees more than it
@@ -23,8 +23,8 @@ renders as a section of ``repro report``.
 tracemalloc instruments every Python-level allocation, so profiling is
 *not* free (typically 2–4× slower with snapshot diffs) — this is a
 diagnosis tool, opt-in via ``--memprof``, never a default.  The default
-is :data:`NULL_MEMPROF`, whose phase hook returns a shared no-op
-handle.  NumPy buffers are traced too (NumPy routes its data allocator
+is :data:`NULL_MEMPROF`, for which ``RunContext.phase`` enters no probe
+at all.  NumPy buffers are traced too (NumPy routes its data allocator
 through tracemalloc's ``np`` domain), which is what makes the per-phase
 deltas meaningful for this pipeline's array-heavy kernels.
 """
@@ -92,21 +92,6 @@ class _PhaseProbe:
                 self._prof._record_site(self._name, site, stat.size_diff)
 
 
-class _NullPhaseProbe:
-    """Shared do-nothing phase probe — the unprofiled fast path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullPhaseProbe":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-_NULL_PROBE = _NullPhaseProbe()
-
-
 class PhaseMemoryProfiler:
     """Attribute allocation deltas and sites to pipeline phases.
 
@@ -157,12 +142,12 @@ class PhaseMemoryProfiler:
         self.stop()
 
     # ----------------------------------------------------------- hooks
-    def phase(self, name: str, level: int | None = None) -> _PhaseProbe:
-        """Measure one phase execution (use as a context manager).
+    def phase(self, name: str) -> _PhaseProbe:
+        """Measure one execution of phase ``name`` (entered by
+        :meth:`~repro.core.engine.RunContext.phase`).
 
-        ``level`` is accepted for hook-signature symmetry with the
-        guardian; attribution is by phase *kind* (levels of the same
-        phase aggregate), matching how the span attribution reports.
+        Attribution is by phase *kind* (levels of the same phase
+        aggregate), matching how the span attribution reports.
         """
         return _PhaseProbe(self, name)
 
@@ -202,7 +187,7 @@ class PhaseMemoryProfiler:
 
 
 class NullMemoryProfiler:
-    """Inert profiler: no tracing, no-op probes, empty report."""
+    """Inert profiler: no tracing, no phase probe, empty report."""
 
     enabled = False
 
@@ -217,9 +202,6 @@ class NullMemoryProfiler:
 
     def __exit__(self, *exc: Any) -> None:
         return None
-
-    def phase(self, name: str, level: int | None = None) -> _NullPhaseProbe:
-        return _NULL_PROBE
 
     def report(self) -> dict:
         return {}

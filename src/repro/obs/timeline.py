@@ -7,10 +7,13 @@ detection via per-iteration quality trajectories — modularity and
 coverage after every coarsening step — and the paper's own termination
 rule (coverage ≥ 0.5) is a statement about this trajectory.
 
-:class:`QualityTimeline` is the recorder
-:func:`~repro.core.agglomeration.detect_communities` fills when handed
-one (``timeline=``): one :class:`LevelQuality` sample per contraction
-level carrying
+That trajectory is fully determined by a finished run: its per-level
+:class:`~repro.core.engine.LevelStats` plus its dendrogram.
+:meth:`QualityTimeline.from_result` derives it from an
+:class:`~repro.core.engine.AgglomerationResult` after the run, so the
+engine keeps a single per-level record and a resumed run's timeline
+covers every level, including those executed before the resume.  One
+:class:`LevelQuality` sample per contraction level carries
 
 * ``modularity`` / ``coverage`` / ``mirror_coverage`` of the partition
   *after* the level's contraction;
@@ -24,18 +27,21 @@ level carrying
 
 The timeline serializes to/from plain dicts (``as_dict`` /
 ``from_dict``) and is what the benchmark ledger
-(:mod:`repro.bench.ledger`) embeds per repetition.  Like the tracer, a
-shared :data:`NULL_TIMELINE` no-op twin backs the ``timeline=None``
-path so the untimed loop neither allocates nor branches.
+(:mod:`repro.bench.ledger`) embeds per repetition.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.obs.metrics import Histogram
+from repro.types import VERTEX_DTYPE
+
+if TYPE_CHECKING:  # core imports obs; never the reverse at runtime
+    from repro.core.engine import AgglomerationResult
 
 __all__ = [
     "TIMELINE_SCHEMA_VERSION",
@@ -45,9 +51,6 @@ __all__ = [
     "QualityTimeline",
     "BatchQuality",
     "StreamTimeline",
-    "NullTimeline",
-    "NULL_TIMELINE",
-    "as_timeline",
 ]
 
 #: Version of the timeline dict schema (embedded in ledger records).
@@ -96,42 +99,47 @@ def _size_histogram(member_counts: np.ndarray) -> dict:
 
 
 class QualityTimeline:
-    """Accumulates one :class:`LevelQuality` per completed level."""
-
-    enabled = True
+    """One :class:`LevelQuality` per completed level of a run."""
 
     def __init__(self) -> None:
         self.levels: list[LevelQuality] = []
 
-    def record_level(
-        self,
-        *,
-        level: int,
-        n_vertices_entering: int,
-        n_pairs: int,
-        matching_passes: int,
-        n_communities: int,
-        modularity: float,
-        coverage: float,
-        member_counts: np.ndarray,
-    ) -> LevelQuality:
-        """Append the sample for one completed contraction level."""
-        sample = LevelQuality(
-            level=int(level),
-            n_communities=int(n_communities),
-            modularity=float(modularity),
-            coverage=float(coverage),
-            mirror_coverage=1.0 - float(coverage),
-            merge_fraction=(
-                float(n_pairs) / float(n_vertices_entering)
-                if n_vertices_entering > 0
-                else 0.0
-            ),
-            matching_passes=int(matching_passes),
-            community_sizes=_size_histogram(member_counts),
-        )
-        self.levels.append(sample)
-        return sample
+    @classmethod
+    def from_result(cls, result: "AgglomerationResult") -> "QualityTimeline":
+        """Derive the timeline of a finished (or resumed) run.
+
+        ``result.levels[i]`` and ``result.dendrogram.maps[i]`` describe
+        the same level.  Folding the input vertices through the maps up
+        to level ``i`` gives the per-community sizes after it; their
+        count is the vertex count entering level ``i + 1`` (the final
+        graph's after the last level), because every contraction map is
+        onto the next level's vertices.
+        """
+        tl = cls()
+        member_counts = np.ones(result.dendrogram.n_vertices, dtype=VERTEX_DTYPE)
+        for stats, mapping in zip(
+            result.levels, result.dendrogram.maps, strict=True
+        ):
+            member_counts = np.bincount(mapping, weights=member_counts).astype(
+                VERTEX_DTYPE
+            )
+            tl.levels.append(
+                LevelQuality(
+                    level=int(stats.level),
+                    n_communities=len(member_counts),
+                    modularity=float(stats.modularity_after),
+                    coverage=float(stats.coverage_after),
+                    mirror_coverage=1.0 - float(stats.coverage_after),
+                    merge_fraction=(
+                        float(stats.n_pairs) / float(stats.n_vertices)
+                        if stats.n_vertices > 0
+                        else 0.0
+                    ),
+                    matching_passes=int(stats.matching_passes),
+                    community_sizes=_size_histogram(member_counts),
+                )
+            )
+        return tl
 
     @property
     def n_levels(self) -> int:
@@ -259,29 +267,3 @@ class StreamTimeline:
         for d in data.get("batches", []):
             tl.batches.append(BatchQuality(**d))
         return tl
-
-
-class NullTimeline:
-    """No-op twin for the ``timeline=None`` path."""
-
-    enabled = False
-    levels: tuple = ()
-    n_levels = 0
-    final = None
-
-    def record_level(self, **_kw) -> None:
-        return None
-
-    def as_dict(self) -> dict:
-        return {"version": TIMELINE_SCHEMA_VERSION, "levels": []}
-
-
-#: Shared default used by every ``timeline=None`` code path.
-NULL_TIMELINE = NullTimeline()
-
-
-def as_timeline(
-    timeline: "QualityTimeline | NullTimeline | None",
-) -> "QualityTimeline | NullTimeline":
-    """Normalize an optional timeline argument to a usable instance."""
-    return NULL_TIMELINE if timeline is None else timeline

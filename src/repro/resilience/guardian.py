@@ -36,8 +36,8 @@ phase boundaries:
   but never silently.
 
 The default construction path (``guardian=None`` everywhere) resolves to
-the shared :data:`NULL_GUARDIAN`, whose hooks are no-ops — the unguarded
-pipeline pays nothing.
+the shared :data:`NULL_GUARDIAN`, whose hooks are no-ops and which has
+no phase watchdog at all — the unguarded pipeline pays nothing.
 
 Deterministic chaos testing hooks in through
 :attr:`~repro.resilience.faults.FaultPlan.phase_faults`: ``stall`` sleeps
@@ -318,7 +318,8 @@ class RunGuardian:
 
     # ---------------------------------------------------------------- hooks
     def phase(self, name: str, level: int) -> _PhaseGuard:
-        """Guard one phase execution (use as a context manager)."""
+        """Guard one phase execution (entered by
+        :meth:`~repro.core.engine.RunContext.phase`)."""
         self._require_ctx()
         return _PhaseGuard(self, name, level)
 
@@ -522,33 +523,19 @@ class RunGuardian:
         )
 
 
-class _NullPhaseGuard:
-    """Reusable no-op phase guard."""
-
-    def __enter__(self) -> "_NullPhaseGuard":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        return False
-
-
-_NULL_PHASE_GUARD = _NullPhaseGuard()
-
-
 class NullGuardian:
     """Inert guardian: every hook is a no-op.
 
-    The default for unguarded runs — mirrors ``NullTracer`` /
-    ``NullTimeline`` so the engine never branches on ``None``.
+    The default for unguarded runs — mirrors ``NullTracer`` so the
+    engine never branches on ``None``.  It has no phase watchdog:
+    :meth:`~repro.core.engine.RunContext.phase` enters one only for a
+    :class:`RunGuardian`.
     """
 
     enabled = False
 
     def bind(self, ctx: Any, input_graph: Any) -> None:
         return None
-
-    def phase(self, name: str, level: int) -> _NullPhaseGuard:
-        return _NULL_PHASE_GUARD
 
     def observe_matching(
         self, level: int, matching: Any, n_vertices: int

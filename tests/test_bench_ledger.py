@@ -23,6 +23,7 @@ from repro.bench.ledger import (
 )
 from repro.bench.smoke import run_smoke
 from repro.errors import ReproError
+from repro.obs import QualityTimeline
 
 
 def make_record(
@@ -320,8 +321,9 @@ class TestSmoke:
         rep = repetition_from_run(run, 0.5)
         assert rep.total_s == 0.5
         assert rep.phases == {}
-        assert rep.quality is None
-        assert rep.n_levels == run.result.n_levels
+        # The quality block is derived from the result, traced or not.
+        assert rep.quality == QualityTimeline.from_result(run.result).as_dict()
+        assert len(rep.quality["levels"]) == rep.n_levels == run.result.n_levels
 
 
 class TestAttributionInLedger:

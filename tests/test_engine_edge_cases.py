@@ -77,10 +77,10 @@ class TestVertexlessGraph:
                 graph,
                 guardian=RunGuardian("full"),
                 tracer=Tracer(),
-                timeline=QualityTimeline(),
             )
         _assert_well_formed(graph, result)
         assert result.recovery.ladder == []
+        assert QualityTimeline.from_result(result).levels == []
 
 
 class TestSingleVertex:
@@ -130,15 +130,14 @@ class TestFullyDisconnected:
 
     def test_with_guardian_and_timeline(self):
         graph = _edgeless(50)
-        timeline = QualityTimeline()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = detect_communities(
                 graph,
                 guardian=RunGuardian("full"),
-                timeline=timeline,
                 tracer=Tracer(),
             )
+            timeline = QualityTimeline.from_result(result)
         _assert_well_formed(graph, result)
         for sample in timeline.levels:
             assert np.isfinite(sample.modularity)

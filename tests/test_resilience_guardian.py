@@ -1,10 +1,11 @@
 """Run-guardian unit tests: watchdog thresholds, ladder mechanics,
 breach accounting, and the inert null guardian.
 
-These tests drive :class:`RunGuardian` directly against a hand-built
+These tests drive :class:`RunGuardian` against a hand-built
 :class:`RunContext` — no engine — so each rung and threshold is
-exercised in isolation.  The end-to-end ladder walks (real engine,
-injected faults) live in
+exercised in isolation; phase watchdogs are entered through the
+context's one phase channel, :meth:`RunContext.phase`.  The end-to-end
+ladder walks (real engine, injected faults) live in
 ``tests/test_chaos_guardian.py``.
 """
 
@@ -32,7 +33,7 @@ from repro.types import NO_VERTEX, VERTEX_DTYPE
 
 
 def _bound(guardian, karate):
-    ctx = RunContext.create(tracer=Tracer())
+    ctx = RunContext.create(tracer=Tracer(), guardian=guardian)
     guardian.bind(ctx, karate)
     return ctx
 
@@ -60,9 +61,10 @@ class TestConstruction:
         assert not NULL_GUARDIAN.enabled
 
     def test_use_before_bind_raises(self):
-        g = RunGuardian()
+        ctx = RunContext.create(guardian=RunGuardian())
         with pytest.raises(RuntimeError, match="bind"):
-            g.phase("score", 0)
+            with ctx.phase("score", 0):
+                pass
 
     def test_rss_sample_is_positive(self):
         rss = _rss_mb()
@@ -73,15 +75,15 @@ class TestNullGuardian:
     def test_hooks_are_noops(self, karate):
         g = NullGuardian()
         g.bind(None, None)
-        with g.phase("score", 0):
-            pass
         g.observe_matching(0, None, 10)
         g.audit_contraction(0)
         g.audit_quality(0)
 
-    def test_null_phase_guard_propagates_exceptions(self):
+    def test_unguarded_phase_propagates_exceptions(self):
+        ctx = RunContext.create()
+        assert ctx.guardian is NULL_GUARDIAN
         with pytest.raises(ValueError):
-            with NULL_GUARDIAN.phase("score", 0):
+            with ctx.phase("score", 0):
                 raise ValueError("kernel failure")
 
 
@@ -90,7 +92,7 @@ class TestWatchdog:
         g = RunGuardian("sample", phase_deadline_s=0.005)
         ctx = _bound(g, karate)
         with pytest.warns(GuardianBreach, match="deadline"):
-            with g.phase("score", 0):
+            with ctx.phase("score", 0):
                 time.sleep(0.02)
         assert ctx.recovery.guardian_breaches == 1
         assert ctx.recovery.ladder == ["lower-audit(phase_deadline@level0)"]
@@ -99,7 +101,7 @@ class TestWatchdog:
     def test_fast_phase_no_breach(self, karate):
         g = RunGuardian("sample", phase_deadline_s=5.0)
         ctx = _bound(g, karate)
-        with g.phase("score", 0):
+        with ctx.phase("score", 0):
             pass
         assert ctx.recovery.guardian_breaches == 0
         assert ctx.recovery.ladder == []
@@ -109,7 +111,7 @@ class TestWatchdog:
         g = RunGuardian("sample", memory_budget_mb=0.5)
         ctx = _bound(g, karate)
         with pytest.warns(GuardianBreach, match="budget"):
-            with g.phase("contract", 2):
+            with ctx.phase("contract", 2):
                 pass
         assert ctx.recovery.guardian_breaches == 1
         assert ctx.recovery.ladder == ["lower-audit(memory_budget@level2)"]
@@ -118,7 +120,7 @@ class TestWatchdog:
         g = RunGuardian("sample", phase_deadline_s=1e-9, memory_budget_mb=1e-9)
         ctx = _bound(g, karate)
         with pytest.raises(ValueError, match="kernel"):
-            with g.phase("score", 0):
+            with ctx.phase("score", 0):
                 raise ValueError("kernel failure")
         # the failure is already louder than any breach
         assert ctx.recovery.guardian_breaches == 0
@@ -127,7 +129,7 @@ class TestWatchdog:
         g = RunGuardian("sample", phase_deadline_s=0.001)
         ctx = _bound(g, karate)
         with pytest.warns(GuardianBreach):
-            with g.phase("match", 1):
+            with ctx.phase("match", 1):
                 time.sleep(0.01)
         breach = ctx.tracer.find("guardian_breach")
         assert len(breach) == 1
@@ -182,12 +184,12 @@ class TestLadder:
         g = RunGuardian("full", phase_deadline_s=0.001)
         ctx = _bound(g, karate)
         with pytest.warns(GuardianBreach):
-            with g.phase("score", 0):
+            with ctx.phase("score", 0):
                 time.sleep(0.01)
         assert ctx.recovery.ladder == ["lower-audit(phase_deadline@level0)"]
         assert g.auditor.mode == "sample"  # full lowered once
         with pytest.warns(GuardianBreach), pytest.raises(RunAbortedError) as ei:
-            with g.phase("score", 1):
+            with ctx.phase("score", 1):
                 time.sleep(0.01)
         exc = ei.value
         assert exc.reason == "phase_deadline@level1"
@@ -201,7 +203,7 @@ class TestLadder:
         ctx = _bound(g, karate)
         # lower-audit inapplicable (already off) -> the first breach aborts
         with pytest.warns(GuardianBreach), pytest.raises(RunAbortedError):
-            with g.phase("score", 0):
+            with ctx.phase("score", 0):
                 time.sleep(0.01)
         assert ctx.recovery.ladder == ["abort(phase_deadline@level0)"]
 
@@ -215,12 +217,12 @@ class TestLadder:
         while len(ctx.recovery.ladder) < len(LADDER_RUNGS):
             before = (g.auditor.mode, ctx.spill)
             with pytest.warns(GuardianBreach):
-                with g.phase("score", level):
+                with ctx.phase("score", level):
                     pass
             assert (g.auditor.mode, ctx.spill) != before, ctx.recovery.ladder
             level += 1
         with pytest.warns(GuardianBreach), pytest.raises(RunAbortedError):
-            with g.phase("score", level):
+            with ctx.phase("score", level):
                 pass
         assert ctx.recovery.ladder == [
             "spill(memory_budget@level0)",
@@ -233,14 +235,14 @@ class TestLadder:
         g = RunGuardian("sample", phase_deadline_s=0.001)
         ctx1 = _bound(g, karate)
         with pytest.warns(GuardianBreach):
-            with g.phase("score", 0):
+            with ctx1.phase("score", 0):
                 time.sleep(0.01)
         assert ctx1.recovery.ladder
         ctx2 = _bound(g, karate)
         assert ctx2.recovery.ladder == []
         assert g.auditor.mode == "sample"
         with pytest.warns(GuardianBreach):
-            with g.phase("score", 0):
+            with ctx2.phase("score", 0):
                 time.sleep(0.01)
         # fresh run starts from the top of the ladder again
         assert ctx2.recovery.ladder == ["lower-audit(phase_deadline@level0)"]

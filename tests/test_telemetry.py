@@ -479,10 +479,11 @@ class TestPredictiveSpill:
 class TestMemprof:
     def test_phases_record_net_and_peak(self):
         prof = PhaseMemoryProfiler(top_sites=3)
+        ctx = RunContext.create(memprof=prof)
         with prof:
-            with prof.phase("score", 0):
+            with ctx.phase("score", 0):
                 keep = [bytearray(256 * 1024) for _ in range(8)]
-            with prof.phase("score", 1):
+            with ctx.phase("score", 1):
                 del keep
         report = prof.report()
         assert report["tool"] == "tracemalloc"
@@ -495,8 +496,9 @@ class TestMemprof:
 
     def test_top_sites_zero_disables_snapshots(self):
         prof = PhaseMemoryProfiler(top_sites=0)
+        ctx = RunContext.create(memprof=prof)
         with prof:
-            with prof.phase("match"):
+            with ctx.phase("match", 0):
                 _ = bytearray(64 * 1024)
         report = prof.report()
         assert report["phases"]["match"]["top_sites"] == []
@@ -528,10 +530,11 @@ class TestMemprof:
         with pytest.raises(ValueError, match="frames"):
             PhaseMemoryProfiler(frames=0)
 
-    def test_null_profiler_shares_probe(self):
+    def test_null_profiler_has_no_probe(self):
         null = NullMemoryProfiler()
-        assert null.phase("a") is null.phase("b")
+        assert not hasattr(null, "phase")
         assert null.stop() == {}
+        assert null.report() == {}
 
     def test_engine_attribution_flow(self, karate):
         from repro.obs.attribution import attribute_run
